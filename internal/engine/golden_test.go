@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -34,6 +35,11 @@ const goldenPath = "testdata/golden_trajectories.txt"
 type goldenCase struct {
 	name string
 	cfg  Config
+	// base names the same configuration without its partition window. A
+	// partition case must hash differently from its base (and hold
+	// messages, see hashOf), or the window fell outside the run and the
+	// row pins nothing.
+	base string
 }
 
 func goldenConfig(p Protocol, seed uint64) Config {
@@ -109,35 +115,47 @@ func goldenCases() []goldenCase {
 			})
 		}
 	}
-	// Partition-window points (DESIGN.md §15): one mid-run outage long
-	// enough to catch in-flight rounds of every protocol, plus a sharded
-	// point where held prepare/decide messages stress 2PC. The window
-	// changes delivery times, so these carry their own hashes; every case
-	// above runs with PartitionFor 0 and must stay byte-identical.
-	for _, p := range []Protocol{S2PL, G2PL, C2PL} {
-		cfg := goldenConfig(p, 1)
-		cfg.PartitionAt = 40_000
-		cfg.PartitionFor = 12_000
-		cases = append(cases, goldenCase{
-			name: fmt.Sprintf("%s/seed1/partition", p),
-			cfg:  cfg,
-		})
+	// Deadlock-policy points at the hot parameters: wounds and dies fire
+	// 150-260 times per run on every engine, including mid-think, so these
+	// rows pin the clients' "still live?" re-checks in the think and commit
+	// timers — paths the detect-only rows above never reach.
+	for _, pol := range []DeadlockPolicy{PolicyWoundWait, PolicyWaitDie} {
+		for _, k := range []int{0, 2} {
+			for _, p := range []Protocol{S2PL, G2PL, C2PL} {
+				if k > 0 && p != S2PL {
+					continue
+				}
+				cfg := goldenConfig(p, 1)
+				cfg.Workload.Items = 10
+				cfg.Workload.ReadProb = 0.25
+				cfg.Deadlock = pol
+				name := fmt.Sprintf("%s/seed1/hot/%s", p, pol)
+				if k > 0 {
+					cfg.Shards = k
+					cfg.CrossRatio = 0.4
+					name = fmt.Sprintf("%s/shards%d/seed1/hot/%s", p, k, pol)
+				}
+				cases = append(cases, goldenCase{name: name, cfg: cfg})
+			}
+		}
 	}
-	{
-		cfg := goldenConfig(S2PL, 1)
-		cfg.Shards = 2
-		cfg.CrossRatio = 0.4
-		cfg.PartitionAt = 40_000
-		cfg.PartitionFor = 12_000
-		cases = append(cases, goldenCase{
-			name: fmt.Sprintf("%s/shards2/seed1/partition", S2PL),
-			cfg:  cfg,
-		})
+	// Partition-window points (DESIGN.md §15): one outage inside every
+	// run (the shortest lasts 12 760 ticks), long enough to catch in-flight
+	// rounds of every protocol, plus a sharded point where held
+	// prepare/decide messages stress 2PC. The window changes delivery
+	// times, so these carry their own hashes; every case above runs with
+	// PartitionFor 0 and must stay byte-identical.
+	for _, base := range []string{"s-2PL/seed1", "g-2PL/seed1", "c-2PL/seed1", "s-2PL/shards2/seed1"} {
+		i := slices.IndexFunc(cases, func(c goldenCase) bool { return c.name == base })
+		cfg := cases[i].cfg
+		cfg.PartitionAt = 4_000
+		cfg.PartitionFor = 1_200
+		cases = append(cases, goldenCase{name: base + "/partition", cfg: cfg, base: base})
 	}
 	return cases
 }
 
-// hashOf runs the case on a fresh kernel and returns its trajectory hash.
+// hashOf runs the config on a fresh kernel and returns its trajectory hash.
 func hashOf(t *testing.T, cfg Config) uint64 {
 	t.Helper()
 	cfg.TraceHash = true
@@ -147,6 +165,10 @@ func hashOf(t *testing.T, cfg Config) uint64 {
 	}
 	if res.TrajectoryHash == 0 {
 		t.Fatalf("Run(%v): TraceHash set but TrajectoryHash is zero", cfg.Protocol)
+	}
+	if cfg.PartitionFor > 0 && res.Held == 0 {
+		t.Errorf("partition window [%d,%d) held no message: it lies outside the run (duration %d)",
+			cfg.PartitionAt, cfg.PartitionAt+cfg.PartitionFor, res.Duration)
 	}
 	return res.TrajectoryHash
 }
@@ -211,6 +233,9 @@ func TestGoldenTrajectories(t *testing.T) {
 		hashes := make(map[string]uint64, len(cases))
 		for _, c := range cases {
 			hashes[c.name] = hashOf(t, c.cfg)
+			if c.base != "" && hashes[c.name] == hashes[c.base] {
+				t.Errorf("%s hashes equal to its base %s: the partition changed nothing", c.name, c.base)
+			}
 		}
 		writeGolden(t, hashes)
 		t.Logf("wrote %d golden hashes to %s", len(hashes), goldenPath)
@@ -226,6 +251,9 @@ func TestGoldenTrajectories(t *testing.T) {
 			w, ok := want[c.name]
 			if !ok {
 				t.Fatalf("no golden hash for %s (run -update?)", c.name)
+			}
+			if c.base != "" && w == want[c.base] {
+				t.Errorf("golden hash equals that of %s: the partition row pins nothing", c.base)
 			}
 			got := hashOf(t, c.cfg)
 			if got != w {
