@@ -242,6 +242,10 @@ func DefaultConfig() *Config {
 				"applyCoord":      {"applyPart", "shardedCommit", "unwindAbort", "clientVictim"},
 				"sendPartGrant":   {"applyPart"},
 				"clientPartGrant": {"sendPartGrant"},
+				// Harness: an operation completes — and the client moves on
+				// to its next request or its commit — only from the four
+				// grant handlers and c-2PL's local cache hit.
+				"granted": {"clientGrant", "clientPartGrant", "clientData", "step"},
 			},
 			"repro/internal/live": {
 				"applyLock":  {"s2plRequest", "s2plRelease"},

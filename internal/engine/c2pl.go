@@ -1,15 +1,9 @@
 package engine
 
 import (
-	"fmt"
-
-	"repro/internal/history"
 	"repro/internal/ids"
 	"repro/internal/lock"
-	"repro/internal/netmodel"
 	"repro/internal/protocol"
-	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -22,148 +16,57 @@ import (
 // if their running transaction used it (callback semantics).
 const C2PL Protocol = 2
 
-// c2plTxn is one transaction instance under c-2PL.
-type c2plTxn struct {
-	id      ids.Txn
-	ts      ids.Txn // priority timestamp: first incarnation's id
-	client  *c2plClient
-	profile workload.Profile
-	opIdx   int
-	start   sim.Time
-	reqSent sim.Time
-	reads   []history.Read
-}
-
-func (t *c2plTxn) op() workload.Op { return t.profile.Ops[t.opIdx] }
-
-func (t *c2plTxn) done() bool { return t.client.cur != t }
-
-// c2plClient is one client site with its lock/data cache.
-type c2plClient struct {
-	id    ids.Client
-	gen   *workload.Generator
-	cache *protocol.CacheClient
-	cur   *c2plTxn
-	// carryTs preserves an aborted transaction's priority for its restart
-	// (Wait-Die/Wound-Wait fairness). Cleared on commit.
-	carryTs ids.Txn
-}
+// c2plTxn is one transaction instance under c-2PL; the protocol's state
+// is per site (the cache), not per transaction.
+type c2plTxn = txn[struct{}]
 
 // c2plRun adapts the protocol c-2PL cores to the discrete-event kernel:
 // ownership, recalls, deferral bookkeeping and deadlock resolution live
 // in protocol.CacheServer, the per-site cache in protocol.CacheClient;
-// this driver owns the version store, transaction lifecycle and message
-// delivery.
+// this driver owns the version store and message delivery, the harness
+// the transaction lifecycle.
 type c2plRun struct {
-	cfg     Config
-	kernel  *sim.Kernel
-	net     *netmodel.Network
-	col     *collector
+	*harness[struct{}]
 	core    *protocol.CacheServer
+	caches  []*protocol.CacheClient // one lock/data cache per client site
 	version map[ids.Item]ids.Txn
-	active  map[ids.Txn]*c2plTxn
-	clients []*c2plClient
-	nextTxn ids.Txn
 }
 
 func runC2PL(cfg Config) (Result, error) {
-	k := sim.New()
-	hasher := installTracer(k, cfg)
 	r := &c2plRun{
-		cfg:     cfg,
-		kernel:  k,
-		net:     newNetwork(k, cfg),
-		col:     newCollector(k, cfg),
 		core:    protocol.NewCacheServer(cfg.Deadlock),
 		version: make(map[ids.Item]ids.Txn),
-		active:  make(map[ids.Txn]*c2plTxn),
-		nextTxn: 1,
 	}
-	root := rng.New(cfg.Seed, 1)
-	wl := cfg.Workload
-	wl.HomeSlots = cfg.Clients
 	for i := 0; i < cfg.Clients; i++ {
-		wl.HomeSlot = i
-		c := &c2plClient{
-			id:    ids.Client(i),
-			gen:   workload.NewGenerator(wl, root.Split(uint64(i))),
-			cache: protocol.NewCacheClient(cfg.NoCache),
-		}
-		r.clients = append(r.clients, c)
-		k.AtLabeled(c.gen.Idle(), "c2pl.begin", func() { r.begin(c) })
+		r.caches = append(r.caches, protocol.NewCacheClient(cfg.NoCache))
 	}
-	if cfg.MaxTime > 0 {
-		k.AtLabeled(cfg.MaxTime, "maxtime", k.Stop)
+	r.harness = newRun(cfg, "c2pl", r.step, r.commit)
+	res, err := r.finish()
+	if err != nil {
+		return res, err
 	}
-	k.Run()
-	if !r.col.done {
-		return Result{}, fmt.Errorf("engine: c-2PL run hit MaxTime %d with %d/%d commits", cfg.MaxTime, r.col.commits, cfg.TargetCommits)
-	}
-	res := r.col.result(C2PL, r.net.Messages, r.net.Bytes, k.Now())
-	res.Held = r.net.Held
-	res.Events = k.Fired()
 	res.Causes = r.core.Causes()
-	if hasher != nil {
-		res.TrajectoryHash = hasher.Sum64()
-	}
 	return res, nil
 }
 
-func (r *c2plRun) begin(c *c2plClient) {
-	ts := c.carryTs
-	if ts == 0 {
-		ts = r.nextTxn
-	}
-	t := &c2plTxn{
-		id:      r.nextTxn,
-		ts:      ts,
-		client:  c,
-		profile: c.gen.Next(),
-		start:   r.kernel.Now(),
-	}
-	r.nextTxn++
-	c.cur = t
-	r.active[t.id] = t
-	c.cache.Begin()
-	r.step(t)
-}
+func (r *c2plRun) cache(t *c2plTxn) *protocol.CacheClient { return r.caches[t.client.id] }
 
 // step performs the current operation: a sufficient cached lock is a
 // local hit (no network at all — the whole point of c-2PL); otherwise
-// the request travels to the server.
+// the request travels to the server. The first step opens the cache's
+// transaction.
 func (r *c2plRun) step(t *c2plTxn) {
 	op := t.op()
-	if ver, _, ok := t.client.cache.Hit(op.Item, op.Write); ok {
+	cache := r.cache(t)
+	if t.opIdx == 0 {
+		cache.Begin()
+	}
+	if ver, _, ok := cache.Hit(op.Item, op.Write); ok {
 		r.granted(t, op, ver)
 		return
 	}
 	t.reqSent = r.kernel.Now()
 	r.net.Send(sizeRequest, "c2pl.req", func() { r.serverRequest(t, op) })
-}
-
-// granted finishes one operation (cache hit or server grant): record the
-// access, think, proceed.
-func (r *c2plRun) granted(t *c2plTxn, op workload.Op, ver ids.Txn) {
-	if !op.Write {
-		t.reads = append(t.reads, history.Read{Item: op.Item, Version: ver})
-	}
-	think := t.client.gen.Think()
-	if t.opIdx+1 < len(t.profile.Ops) {
-		r.kernel.AfterLabeled(think, "c2pl.think", func() {
-			if t.done() {
-				return // wounded mid-think; the abort notice won the race
-			}
-			t.opIdx++
-			r.step(t)
-		})
-		return
-	}
-	r.kernel.AfterLabeled(think, "c2pl.commit", func() {
-		if t.done() {
-			return // wounded mid-think; the abort notice won the race
-		}
-		r.commit(t)
-	})
 }
 
 // serverRequest hands a cache miss to the server core and emits its
@@ -191,7 +94,7 @@ func (r *c2plRun) applyCacheActions(acts []protocol.CacheAction) {
 			}
 			r.net.Send(size, "c2pl.grant", func() { r.clientGrant(t, item, mode, ver) })
 		case protocol.CacheRecall:
-			c, item := r.clients[a.Client], a.Item
+			c, item := a.Client, a.Item
 			r.net.Send(sizeControl, "c2pl.recall", func() { r.clientRecall(c, item) })
 		case protocol.CacheAbort:
 			t := r.active[a.Txn]
@@ -206,24 +109,24 @@ func (r *c2plRun) applyCacheActions(acts []protocol.CacheAction) {
 // resumes the transaction (unless it aborted while the grant was in
 // flight — the client keeps the cached lock, locks belong to sites).
 func (r *c2plRun) clientGrant(t *c2plTxn, item ids.Item, mode lock.Mode, ver ids.Txn) {
-	live := !t.done()
-	ver, _ = t.client.cache.Install(item, mode, ver, 0, live)
+	live := t.live()
+	ver, _ = r.cache(t).Install(item, mode, ver, 0, live)
 	if !live {
 		return
 	}
-	r.col.opWaited(r.kernel.Now() - t.reqSent)
+	r.waited(t)
 	r.granted(t, t.op(), ver)
 }
 
 // clientRecall handles a server callback: release immediately when the
 // running transaction has not used the item, defer to commit otherwise.
-func (r *c2plRun) clientRecall(c *c2plClient, item ids.Item) {
-	if c.cache.Recall(item) == protocol.RecallDefer {
-		t := c.cur
+func (r *c2plRun) clientRecall(c ids.Client, item ids.Item) {
+	if r.caches[c].Recall(item) == protocol.RecallDefer {
+		t := r.clients[c].cur
 		r.net.Send(sizeControl, "c2pl.defer", func() { r.serverDefer(t, item) })
 		return
 	}
-	r.net.Send(sizeControl, "c2pl.release", func() { r.serverRelease(c.id, item) })
+	r.net.Send(sizeControl, "c2pl.release", func() { r.serverRelease(c, item) })
 }
 
 // serverDefer records the holder's deferral at the core; deadlock
@@ -242,42 +145,29 @@ func (r *c2plRun) serverRelease(c ids.Client, item ids.Item) {
 // release (the aborted work never used them durably) and its cache
 // in-use marks clear.
 func (r *c2plRun) clientAbort(t *c2plTxn) {
-	c := t.client
-	if c.cur != t {
-		return
+	if !t.live() {
+		return // the commit beat the wound notice; nothing to unwind
 	}
-	c.carryTs = t.ts
-	r.col.abort()
+	r.aborted(t)
 	r.finishClient(t, nil)
-	r.kernel.AfterLabeled(c.gen.Idle(), "c2pl.begin", func() { r.begin(c) })
+	r.scheduleNext(t.client)
 }
 
 // commit finishes the transaction: response time stops, updates and
 // deferred releases travel to the server in one message, write locks and
 // new versions stay cached.
 func (r *c2plRun) commit(t *c2plTxn) {
-	rt := r.kernel.Now() - t.start
-	rec := history.Committed{Txn: t.id, Reads: t.reads}
-	var writes []ids.Item
-	for _, op := range t.profile.Ops {
-		if op.Write {
-			writes = append(writes, op.Item)
-		}
-	}
-	rec.Writes = writes
-	t.client.carryTs = 0
-	r.col.commit(rt, rec)
-	r.finishClient(t, writes)
-	r.kernel.AfterLabeled(t.client.gen.Idle(), "c2pl.begin", func() { r.begin(t.client) })
+	rec := t.record()
+	r.committed(t, rec)
+	r.finishClient(t, rec.Writes)
+	r.scheduleNext(t.client)
 }
 
 // finishClient performs the client-side end of transaction (commit or
 // abort) via the cache core and sends the combined commit/release
 // message.
 func (r *c2plRun) finishClient(t *c2plTxn, writes []ids.Item) {
-	c := t.client
-	released := c.cache.Finish(t.id, writes)
-	c.cur = nil
+	released := r.cache(t).Finish(t.id, writes)
 	size := sizeControl + sizeData*len(writes)
 	r.net.Send(size, "c2pl.finish", func() { r.serverFinish(t, writes, released) })
 }

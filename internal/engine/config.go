@@ -4,8 +4,9 @@
 // protocol (g-2PL, paper §3.2-3.4) with its lock grouping, deadlock
 // avoidance and MR1W optimizations.
 //
-// Both engines share the workload, network and measurement machinery so
-// that a comparison under a common seed differs only in the protocol.
+// Every engine runs under one client harness (harness.go) and shares the
+// workload, network and measurement machinery, so that a comparison under
+// a common seed differs only in the protocol.
 package engine
 
 import (
@@ -13,7 +14,6 @@ import (
 
 	"repro/internal/history"
 	"repro/internal/ids"
-	"repro/internal/netmodel"
 	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -236,12 +236,18 @@ func (c Config) Validate() error {
 	case c.PartitionFor < 0:
 		return fmt.Errorf("engine: PartitionFor must be >= 0, got %d", c.PartitionFor)
 	}
+	return c.workload().Validate()
+}
+
+// workload is the workload configuration the run's generators draw from:
+// under range sharding the confinement knobs mirror the shard ranges.
+func (c Config) workload() workload.Config {
 	wl := c.Workload
 	if c.Shards > 1 && !c.HashShards {
 		wl.Shards = c.Shards
 		wl.CrossProb = c.CrossRatio
 	}
-	return wl.Validate()
+	return wl
 }
 
 // Result summarizes one run.
@@ -372,17 +378,6 @@ func installTracer(k *sim.Kernel, cfg Config) *sim.TrajectoryHasher {
 	return hasher
 }
 
-// newNetwork builds the run's network and installs the configured
-// partition window, if any. Every engine constructs its network through
-// this seam so the outage knobs reach all four protocols identically.
-func newNetwork(k *sim.Kernel, cfg Config) *netmodel.Network {
-	net := netmodel.New(k, cfg.Latency)
-	if cfg.PartitionFor > 0 {
-		net.SetOutage(cfg.PartitionAt, cfg.PartitionAt+cfg.PartitionFor)
-	}
-	return net
-}
-
 // collector implements the shared measurement protocol.
 type collector struct {
 	kernel  *sim.Kernel
@@ -403,12 +398,14 @@ type collector struct {
 	log          *history.Log
 	done         bool
 
-	// onDone, when set, replaces the kernel stop at target: the sharded
+	// drain, when set, replaces the kernel stop at target: the sharded
 	// driver drains in-flight transactions to quiescence instead, so no
-	// commit can be caught half-installed. Post-target commits still reach
-	// the history log (the oracle wants the complete run); the measured
-	// counters stay frozen.
-	onDone func()
+	// commit can be caught half-installed. The livelock guard is cancelled
+	// so the kernel can stop on an empty queue. Post-target commits still
+	// reach the history log (the oracle wants the complete run); the
+	// measured counters stay frozen.
+	drain bool
+	guard *sim.Event // the MaxTime event, nil without a limit
 }
 
 func newCollector(k *sim.Kernel, cfg Config) *collector {
@@ -423,7 +420,7 @@ func (c *collector) measuring() bool { return c.totalCommits >= int64(c.warmup) 
 
 func (c *collector) commit(rt sim.Time, rec history.Committed) {
 	if c.done {
-		if c.onDone != nil && c.log != nil {
+		if c.drain && c.log != nil {
 			c.log.Commit(rec)
 		}
 		return
@@ -439,11 +436,11 @@ func (c *collector) commit(rt sim.Time, rec history.Committed) {
 	}
 	if c.commits >= int64(c.target) {
 		c.done = true
-		if c.onDone != nil {
-			c.onDone()
-			return
+		if !c.drain {
+			c.kernel.Stop()
+		} else if c.guard != nil {
+			c.kernel.Cancel(c.guard)
 		}
-		c.kernel.Stop()
 	}
 }
 
@@ -461,7 +458,7 @@ func (c *collector) opWaited(w sim.Time) {
 
 func (c *collector) abort() {
 	if c.done {
-		if c.onDone != nil && c.log != nil {
+		if c.drain && c.log != nil {
 			c.log.Abort()
 		}
 		return

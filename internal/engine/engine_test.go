@@ -3,7 +3,6 @@ package engine
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/serial"
 	"repro/internal/sim"
@@ -437,38 +436,6 @@ func TestLatencyScalesResponse(t *testing.T) {
 		}
 	}
 }
-
-var sinkResult Result
-
-// benchEngineRun drives one DES protocol run per iteration and reports
-// the throughput metrics the benchmark trajectory (scripts/bench.sh)
-// tracks: kernel events fired and commits completed per wall second.
-func benchEngineRun(b *testing.B, p Protocol) {
-	cfg := testConfig(p)
-	cfg.RecordHistory = false
-	cfg.TargetCommits = 200
-	cfg.WarmupCommits = 20
-	var events uint64
-	var commits int64
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		res, err := Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sinkResult = res
-		events += res.Events
-		commits += res.Commits
-	}
-	if el := time.Since(start).Seconds(); el > 0 {
-		b.ReportMetric(float64(events)/el, "events/s")
-		b.ReportMetric(float64(commits)/el, "commits/s")
-	}
-}
-
-func BenchmarkS2PLRun(b *testing.B) { benchEngineRun(b, S2PL) }
-func BenchmarkG2PLRun(b *testing.B) { benchEngineRun(b, G2PL) }
-func BenchmarkC2PLRun(b *testing.B) { benchEngineRun(b, C2PL) }
 
 var _ = sim.Time(0)
 

@@ -3,26 +3,15 @@ package engine
 import (
 	"fmt"
 
-	"repro/internal/history"
 	"repro/internal/ids"
-	"repro/internal/netmodel"
 	"repro/internal/protocol"
-	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
-// g2plTxn is one transaction instance executing under g-2PL.
-type g2plTxn struct {
-	id      ids.Txn
-	ts      ids.Txn // priority timestamp: first incarnation's id
-	client  *g2plClient
-	profile workload.Profile
-	opIdx   int
-	start   sim.Time
-	reqSent sim.Time
-	reads   []history.Read
+// g2plState is what a transaction carries under g-2PL beyond the
+// harness's share.
+type g2plState struct {
 	held    []ids.Item // delivered items, in delivery order
 	aborted bool
 	done    bool // committed or abort processed at client
@@ -33,16 +22,7 @@ type g2plTxn struct {
 	gates int
 }
 
-func (t *g2plTxn) op() workload.Op { return t.profile.Ops[t.opIdx] }
-
-// g2plClient is one client site (MPL 1, sequential execution).
-type g2plClient struct {
-	id  ids.Client
-	gen *workload.Generator
-	// carryTs preserves an aborted transaction's priority for its restart
-	// (Wait-Die/Wound-Wait fairness). Cleared on commit.
-	carryTs ids.Txn
-}
+type g2plTxn = txn[g2plState]
 
 // g2plReq is a pending lock request collected during an item's window.
 type g2plReq struct {
@@ -84,39 +64,18 @@ type g2plItem struct {
 // g2plRun adapts the protocol.Dispatcher core to the discrete-event
 // kernel: window ordering, chain edges, precedence recording and
 // dispatch-time victim selection live in the core; this driver owns
-// collection-window timing, transaction lifecycle and data movement.
+// collection-window timing and data movement, the harness the
+// transaction lifecycle.
 type g2plRun struct {
-	cfg     Config
-	kernel  *sim.Kernel
-	net     *netmodel.Network
-	col     *collector
+	*harness[g2plState]
 	disp    *protocol.Dispatcher
 	items   map[ids.Item]*g2plItem
-	active  map[ids.Txn]*g2plTxn  // live transactions, for victim selection
 	pending map[ids.Txn]*g2plItem // item a transaction's request waits on
-	clients []*g2plClient
-	nextTxn ids.Txn
 	causes  stats.AbortCauses
-
-	// trace, when non-nil, receives one line per protocol event; set
-	// only by debugging tests.
-	trace func(format string, args ...any)
-}
-
-func (r *g2plRun) tracef(format string, args ...any) {
-	if r.trace != nil {
-		r.trace(format, args...)
-	}
 }
 
 func runG2PL(cfg Config) (Result, error) {
-	k := sim.New()
-	hasher := installTracer(k, cfg)
 	r := &g2plRun{
-		cfg:    cfg,
-		kernel: k,
-		net:    newNetwork(k, cfg),
-		col:    newCollector(k, cfg),
 		disp: protocol.NewDispatcher(protocol.WindowOptions{
 			NoAvoidance:    cfg.NoAvoidance,
 			FIFOWindows:    cfg.FIFOWindows,
@@ -124,36 +83,14 @@ func runG2PL(cfg Config) (Result, error) {
 			MR1W:           !cfg.NoMR1W,
 		}),
 		items:   make(map[ids.Item]*g2plItem),
-		active:  make(map[ids.Txn]*g2plTxn),
 		pending: make(map[ids.Txn]*g2plItem),
-		nextTxn: 1,
 	}
-	root := rng.New(cfg.Seed, 1)
-	wl := cfg.Workload
-	wl.HomeSlots = cfg.Clients
-	for i := 0; i < cfg.Clients; i++ {
-		wl.HomeSlot = i
-		c := &g2plClient{
-			id:  ids.Client(i),
-			gen: workload.NewGenerator(wl, root.Split(uint64(i))),
-		}
-		r.clients = append(r.clients, c)
-		k.AtLabeled(c.gen.Idle(), "g2pl.begin", func() { r.begin(c) })
+	r.harness = newRun(cfg, "g2pl", r.sendRequest, r.commit)
+	res, err := r.finish()
+	if err != nil {
+		return res, err
 	}
-	if cfg.MaxTime > 0 {
-		k.AtLabeled(cfg.MaxTime, "maxtime", k.Stop)
-	}
-	k.Run()
-	if !r.col.done {
-		return Result{}, fmt.Errorf("engine: g-2PL run hit MaxTime %d with %d/%d commits", cfg.MaxTime, r.col.commits, cfg.TargetCommits)
-	}
-	res := r.col.result(G2PL, r.net.Messages, r.net.Bytes, k.Now())
-	res.Held = r.net.Held
-	res.Events = k.Fired()
 	res.Causes = r.causes
-	if hasher != nil {
-		res.TrajectoryHash = hasher.Sum64()
-	}
 	return res, nil
 }
 
@@ -164,24 +101,6 @@ func (r *g2plRun) item(id ids.Item) *g2plItem {
 		r.items[id] = it
 	}
 	return it
-}
-
-// begin starts a fresh transaction and sends its first request.
-func (r *g2plRun) begin(c *g2plClient) {
-	ts := c.carryTs
-	if ts == 0 {
-		ts = r.nextTxn
-	}
-	t := &g2plTxn{
-		id:      r.nextTxn,
-		ts:      ts,
-		client:  c,
-		profile: c.gen.Next(),
-		start:   r.kernel.Now(),
-	}
-	r.nextTxn++
-	r.active[t.id] = t
-	r.sendRequest(t)
 }
 
 // sendRequest ships the current operation's request to the server.
@@ -196,7 +115,6 @@ func (r *g2plRun) sendRequest(t *g2plTxn) {
 // ReadExpand extension allows, otherwise join the collection window.
 func (r *g2plRun) serverRequest(t *g2plTxn, op workload.Op) {
 	it := r.item(op.Item)
-	r.tracef("req %v %v w=%v", op.Item, t.id, op.Write)
 	req := &g2plReq{txn: t, write: op.Write}
 	if it.atServer && it.fl == nil {
 		it.pending = append(it.pending, req)
@@ -218,7 +136,7 @@ func (r *g2plRun) serverRequest(t *g2plTxn, op workload.Op) {
 
 // resolveDeadlocks aborts victims until no wait-for cycle runs through t.
 func (r *g2plRun) resolveDeadlocks(t *g2plTxn) {
-	for !t.aborted {
+	for !t.x.aborted {
 		cycle := r.disp.Waits.CycleThrough(t.id)
 		if cycle == nil {
 			return
@@ -237,7 +155,7 @@ func (r *g2plRun) resolveDeadlocks(t *g2plTxn) {
 // guarantee acyclicity here.
 func (r *g2plRun) judgeFlight(q *g2plReq) {
 	t := q.txn
-	if t.aborted || len(q.edges) == 0 {
+	if t.x.aborted || len(q.edges) == 0 {
 		return
 	}
 	bts := make([]ids.Txn, len(q.edges))
@@ -256,7 +174,7 @@ func (r *g2plRun) judgeFlight(q *g2plReq) {
 	}
 	for _, i := range wound {
 		v := r.active[q.edges[i]]
-		if v == nil || v.done || v.aborted {
+		if v == nil || v.x.done || v.x.aborted {
 			continue
 		}
 		r.causes.Wound++
@@ -297,15 +215,15 @@ func (r *g2plRun) scheduleDispatch(it *g2plItem) {
 // would not unblock any data flow. The s-2PL engine applies the same
 // rule, keeping the comparison fair.
 func (r *g2plRun) chooseVictim(cycle []ids.Txn, fallback *g2plTxn) *g2plTxn {
-	id := protocol.ChooseVictim(r.cfg.Victim, cycle, fallback.id, len(fallback.held), func(id ids.Txn) (alive bool, held int) {
+	id := protocol.ChooseVictim(r.cfg.Victim, cycle, fallback.id, len(fallback.x.held), func(id ids.Txn) (alive bool, held int) {
 		t := r.active[id]
-		if t == nil || t.done || t.aborted {
+		if t == nil || t.x.done || t.x.aborted {
 			return false, 0
 		}
-		if r.pending[t.id] == nil && len(t.held) == 0 {
+		if r.pending[t.id] == nil && len(t.x.held) == 0 {
 			return false, 0
 		}
-		return true, len(t.held)
+		return true, len(t.x.held)
 	})
 	if id == fallback.id {
 		return fallback
@@ -318,11 +236,11 @@ func (r *g2plRun) chooseVictim(cycle []ids.Txn, fallback *g2plTxn) *g2plTxn {
 // constraints dissolve, and the client is notified to forward any held
 // data unchanged.
 func (r *g2plRun) abortTxn(v *g2plTxn) {
-	if v.aborted || v.done {
+	if v.x.aborted || v.x.done {
 		return // a wound already claimed it in this same batch
 	}
-	v.aborted = true
-	delete(r.active, v.id)
+	v.x.aborted = true
+	r.kill(v)
 	if it := r.pending[v.id]; it != nil {
 		delete(r.pending, v.id)
 		for i, q := range it.pending {
@@ -364,7 +282,7 @@ func (r *g2plRun) tryExpand(it *g2plItem, t *g2plTxn) bool {
 		r.disp.Waits.AddEdge(q.txn.id, t.id)
 	}
 	for _, q := range it.pending {
-		if !q.txn.aborted {
+		if !q.txn.x.aborted {
 			r.resolveDeadlocks(q.txn)
 		}
 	}
@@ -427,8 +345,8 @@ func (r *g2plRun) dispatchWindow(it *g2plItem) {
 	}
 	for _, v := range victims {
 		q := byID[v.Txn]
-		q.txn.aborted = true
-		delete(r.active, q.txn.id)
+		q.txn.x.aborted = true
+		r.kill(q.txn)
 		r.col.abortDisp++
 		vt := q.txn
 		r.net.Send(sizeControl, "g2pl.abort", func() { r.clientAbort(vt) })
@@ -452,7 +370,6 @@ func (r *g2plRun) dispatchWindow(it *g2plItem) {
 	it.fl = fl
 	it.atServer = false
 	r.col.windowLen.Add(float64(plan.List.Len()))
-	r.tracef("dispatch %v %v", it.id, plan.List)
 
 	// Requests left in the window (length cap) now wait for the new
 	// in-flight members; this can itself close a deadlock cycle.
@@ -465,7 +382,7 @@ func (r *g2plRun) dispatchWindow(it *g2plItem) {
 		}
 	}
 	for _, q := range rest {
-		if !q.txn.aborted {
+		if !q.txn.x.aborted {
 			r.resolveDeadlocks(q.txn)
 		}
 	}
@@ -504,7 +421,7 @@ func (r *g2plRun) deliverSegment(it *g2plItem, j int) {
 // processing (paper §3.2: "if the transaction aborts, the client forwards
 // the unchanged data to the next client").
 func (r *g2plRun) clientData(t *g2plTxn, item ids.Item, ver ids.Txn) {
-	if t.aborted || t.done {
+	if t.x.aborted || t.x.done {
 		r.finishItem(t, item)
 		return
 	}
@@ -512,29 +429,9 @@ func (r *g2plRun) clientData(t *g2plTxn, item ids.Item, ver ids.Txn) {
 	if op.Item != item {
 		panic(fmt.Sprintf("engine: %v received %v while waiting for %v", t.id, item, op.Item))
 	}
-	r.col.opWaited(r.kernel.Now() - t.reqSent)
-	r.tracef("deliver %v %v wait=%d", item, t.id, r.kernel.Now()-t.reqSent)
-	t.held = append(t.held, item)
-	if !op.Write {
-		t.reads = append(t.reads, history.Read{Item: item, Version: ver})
-	}
-	think := t.client.gen.Think()
-	if t.opIdx+1 < len(t.profile.Ops) {
-		r.kernel.AfterLabeled(think, "g2pl.think", func() {
-			if t.aborted || t.done {
-				return // wounded mid-think; the abort notice handles the unwind
-			}
-			t.opIdx++
-			r.sendRequest(t)
-		})
-		return
-	}
-	r.kernel.AfterLabeled(think, "g2pl.commit", func() {
-		if t.aborted || t.done {
-			return // wounded mid-think; the abort notice handles the unwind
-		}
-		r.commit(t)
-	})
+	r.waited(t)
+	t.x.held = append(t.x.held, item)
+	r.granted(t, op, ver)
 }
 
 // commit ends the transaction at its client: response time stops here.
@@ -543,36 +440,27 @@ func (r *g2plRun) clientData(t *g2plTxn, item ids.Item, ver ids.Txn) {
 // (paper §3.4) — releasing any update early would let a concurrent reader
 // of the old version observe this transaction's effects elsewhere.
 func (r *g2plRun) commit(t *g2plTxn) {
-	rt := r.kernel.Now() - t.start
-	rec := history.Committed{Txn: t.id, Reads: t.reads}
-	for _, op := range t.profile.Ops {
-		if op.Write {
-			rec.Writes = append(rec.Writes, op.Item)
-		}
-	}
-	t.done = true
+	t.x.done = true
 	delete(r.active, t.id)
-	t.client.carryTs = 0
-	r.tracef("commit %v held=%v rt=%d", t.id, t.held, rt)
-	r.col.commit(rt, rec)
+	r.committed(t, t.record())
 	r.disp.Order.Remove(t.id)
-	for _, item := range t.held {
+	for _, item := range t.x.held {
 		fl := r.item(item).fl
 		if e, ok := fl.core.Plan.EntryOf(t.id); ok && e.Write && fl.relWait[t.id] > 0 {
 			fl.gated[t.id] = true
-			t.gates++
+			t.x.gates++
 		}
 	}
-	if t.gates == 0 {
+	if t.x.gates == 0 {
 		r.forwardAll(t)
 	}
-	r.kernel.AfterLabeled(t.client.gen.Idle(), "g2pl.begin", func() { r.begin(t.client) })
+	r.scheduleNext(t.client)
 }
 
 // forwardAll releases or forwards every held item of a finished
 // transaction down its forward list.
 func (r *g2plRun) forwardAll(t *g2plTxn) {
-	for _, item := range t.held {
+	for _, item := range t.x.held {
 		r.finishItem(t, item)
 	}
 }
@@ -642,12 +530,12 @@ func (r *g2plRun) writerRelease(it *g2plItem, w *g2plTxn) {
 	if !fl.gated[w.id] {
 		return // writer still computing; it advances at its own commit
 	}
-	if w.aborted {
+	if w.x.aborted {
 		r.advanceWriter(it, w)
 		return
 	}
-	w.gates--
-	if w.gates == 0 {
+	w.x.gates--
+	if w.x.gates == 0 {
 		r.forwardAll(w)
 	}
 }
@@ -660,7 +548,7 @@ func (r *g2plRun) advanceWriter(it *g2plItem, w *g2plTxn) {
 	plan := fl.core.Plan
 	j := plan.SegOf(w.id)
 	r.disp.MemberDone(fl.core, w.id)
-	if !w.aborted {
+	if !w.x.aborted {
 		fl.version = w.id
 	}
 	if !plan.IsFinal(j) {
@@ -673,7 +561,6 @@ func (r *g2plRun) advanceWriter(it *g2plItem, w *g2plTxn) {
 
 // serverReturn installs the returning data at the server.
 func (r *g2plRun) serverReturn(it *g2plItem, ver ids.Txn) {
-	r.tracef("return %v ver=%v", it.id, ver)
 	it.version = ver
 	r.decReturns(it)
 }
@@ -706,12 +593,8 @@ func (r *g2plRun) decReturns(it *g2plItem) {
 // the abort, forward all held items unchanged, and replace the
 // transaction after an idle period.
 func (r *g2plRun) clientAbort(t *g2plTxn) {
-	t.done = true
-	t.client.carryTs = t.ts
-	r.tracef("abortNotice %v held=%v", t.id, t.held)
-	r.col.abort()
-	for _, item := range t.held {
-		r.finishItem(t, item)
-	}
-	r.kernel.AfterLabeled(t.client.gen.Idle(), "g2pl.begin", func() { r.begin(t.client) })
+	t.x.done = true
+	r.aborted(t)
+	r.forwardAll(t)
+	r.scheduleNext(t.client)
 }

@@ -1,142 +1,37 @@
 package engine
 
 import (
-	"fmt"
-
-	"repro/internal/history"
 	"repro/internal/ids"
-	"repro/internal/netmodel"
 	"repro/internal/protocol"
-	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// Message payload sizes in abstract units. Data-carrying messages dwarf
-// control messages; the paper's point is that at gigabit rates this does
-// not matter, but we account for it so experiments can show g-2PL's
-// larger messages explicitly.
-const (
-	sizeRequest = 1
-	sizeData    = 8
-	sizeControl = 1
-)
-
-// s2plTxn is one transaction instance executing under s-2PL.
-type s2plTxn struct {
-	id      ids.Txn
-	ts      ids.Txn // priority timestamp: first incarnation's id
-	client  *s2plClient
-	profile workload.Profile
-	opIdx   int
-	start   sim.Time
-	reqSent sim.Time
-	reads   []history.Read
-}
-
-func (t *s2plTxn) op() workload.Op { return t.profile.Ops[t.opIdx] }
-
-// s2plClient is one client site: multiprogramming level 1, sequential
-// execution (paper §4).
-type s2plClient struct {
-	id  ids.Client
-	gen *workload.Generator
-	cur *s2plTxn
-	// carryTs is the timestamp an aborted transaction bequeaths to its
-	// restart: under Wait-Die/Wound-Wait a victim retries with a fresh id
-	// but its original priority, so it ages into un-killability instead of
-	// starving. Cleared on commit.
-	carryTs ids.Txn
-}
+// s2plTxn is one transaction instance executing under s-2PL; the protocol
+// keeps no per-transaction state beyond the harness's.
+type s2plTxn = txn[struct{}]
 
 // s2plRun adapts the protocol.LockServer core to the discrete-event
 // kernel. All locking decisions — grant, queue, deadlock detection and
 // victim selection — live in the core; this driver owns the version
-// store, the transaction lifecycle and message delivery. The server's
-// computation takes zero simulated time (paper §4 charges the same cost
-// to both protocols and argues it is off the critical path).
+// store and message delivery, the harness the transaction lifecycle.
 type s2plRun struct {
-	cfg     Config
-	kernel  *sim.Kernel
-	net     *netmodel.Network
-	col     *collector
+	*harness[struct{}]
 	core    *protocol.LockServer
 	version map[ids.Item]ids.Txn
-	active  map[ids.Txn]*s2plTxn
-	clients []*s2plClient
-	nextTxn ids.Txn
-
-	// trace, when non-nil, receives one line per protocol event; set
-	// only by debugging tests.
-	trace func(format string, args ...any)
-}
-
-func (r *s2plRun) tracef(format string, args ...any) {
-	if r.trace != nil {
-		r.trace(format, args...)
-	}
 }
 
 func runS2PL(cfg Config) (Result, error) {
-	k := sim.New()
-	hasher := installTracer(k, cfg)
 	r := &s2plRun{
-		cfg:     cfg,
-		kernel:  k,
-		net:     newNetwork(k, cfg),
-		col:     newCollector(k, cfg),
 		core:    protocol.NewLockServer(cfg.Victim, cfg.Deadlock),
 		version: make(map[ids.Item]ids.Txn),
-		active:  make(map[ids.Txn]*s2plTxn),
-		nextTxn: 1,
 	}
-	root := rng.New(cfg.Seed, 1)
-	wl := cfg.Workload
-	wl.HomeSlots = cfg.Clients
-	for i := 0; i < cfg.Clients; i++ {
-		wl.HomeSlot = i
-		c := &s2plClient{
-			id:  ids.Client(i),
-			gen: workload.NewGenerator(wl, root.Split(uint64(i))),
-		}
-		r.clients = append(r.clients, c)
-		k.AtLabeled(c.gen.Idle(), "s2pl.begin", func() { r.begin(c) })
+	r.harness = newRun(cfg, "s2pl", r.sendRequest, r.commit)
+	res, err := r.finish()
+	if err != nil {
+		return res, err
 	}
-	if cfg.MaxTime > 0 {
-		k.AtLabeled(cfg.MaxTime, "maxtime", k.Stop)
-	}
-	k.Run()
-	if !r.col.done {
-		return Result{}, fmt.Errorf("engine: s-2PL run hit MaxTime %d with %d/%d commits", cfg.MaxTime, r.col.commits, cfg.TargetCommits)
-	}
-	res := r.col.result(S2PL, r.net.Messages, r.net.Bytes, k.Now())
-	res.Held = r.net.Held
-	res.Events = k.Fired()
 	res.Causes = r.core.Causes()
-	if hasher != nil {
-		res.TrajectoryHash = hasher.Sum64()
-	}
 	return res, nil
-}
-
-// begin starts a fresh transaction at client c and sends its first
-// request immediately.
-func (r *s2plRun) begin(c *s2plClient) {
-	ts := c.carryTs
-	if ts == 0 {
-		ts = r.nextTxn
-	}
-	t := &s2plTxn{
-		id:      r.nextTxn,
-		ts:      ts,
-		client:  c,
-		profile: c.gen.Next(),
-		start:   r.kernel.Now(),
-	}
-	r.nextTxn++
-	c.cur = t
-	r.active[t.id] = t
-	r.sendRequest(t)
 }
 
 // sendRequest ships the current operation's lock request to the server.
@@ -150,7 +45,6 @@ func (r *s2plRun) sendRequest(t *s2plTxn) {
 // blocks (deadlock detection initiated on block, paper §4) and this
 // driver emits its decisions.
 func (r *s2plRun) serverRequest(t *s2plTxn, op workload.Op) {
-	r.tracef("req %v %v w=%v", op.Item, t.id, op.Write)
 	r.applyLockActions(r.core.Request(protocol.LockRequest{
 		Txn: t.id, Client: t.client.id, Item: op.Item, Write: op.Write, Ts: t.ts,
 	}))
@@ -188,46 +82,17 @@ func (r *s2plRun) sendGrant(t *s2plTxn, op workload.Op) {
 	r.net.Send(sizeData, "s2pl.grant", func() { r.clientGrant(t, op, ver) })
 }
 
-// clientGrant is the client's grant handler: record the access, think,
-// then issue the next request or commit.
+// clientGrant is the client's grant handler.
 func (r *s2plRun) clientGrant(t *s2plTxn, op workload.Op, ver ids.Txn) {
-	r.col.opWaited(r.kernel.Now() - t.reqSent)
-	r.tracef("deliver %v %v wait=%d", op.Item, t.id, r.kernel.Now()-t.reqSent)
-	if !op.Write {
-		t.reads = append(t.reads, history.Read{Item: op.Item, Version: ver})
-	}
-	think := t.client.gen.Think()
-	if t.opIdx+1 < len(t.profile.Ops) {
-		r.kernel.AfterLabeled(think, "s2pl.think", func() {
-			if t.client.cur != t {
-				return // wounded mid-think; the abort notice won the race
-			}
-			t.opIdx++
-			r.sendRequest(t)
-		})
-		return
-	}
-	r.kernel.AfterLabeled(think, "s2pl.commit", func() {
-		if t.client.cur != t {
-			return // wounded mid-think; the abort notice won the race
-		}
-		r.commit(t)
-	})
+	r.waited(t)
+	r.granted(t, op, ver)
 }
 
-// commit ends the transaction at the client: response time stops here and
-// the combined release/update message goes back to the server.
+// commit ends the transaction at the client: the combined release/update
+// message goes back to the server.
 func (r *s2plRun) commit(t *s2plTxn) {
-	rt := r.kernel.Now() - t.start
-	rec := history.Committed{Txn: t.id, Reads: t.reads}
-	for _, op := range t.profile.Ops {
-		if op.Write {
-			rec.Writes = append(rec.Writes, op.Item)
-		}
-	}
-	r.tracef("commit %v rt=%d", t.id, rt)
-	t.client.carryTs = 0
-	r.col.commit(rt, rec)
+	rec := t.record()
+	r.committed(t, rec)
 	r.net.Send(sizeControl+sizeData*len(rec.Writes), "s2pl.release", func() { r.serverRelease(t, rec.Writes) })
 	r.scheduleNext(t.client)
 }
@@ -246,11 +111,10 @@ func (r *s2plRun) serverRelease(t *s2plTxn, writes []ids.Item) {
 // its lock release travels back to the server, and the client replaces
 // the transaction after an idle period (paper §4).
 func (r *s2plRun) clientAbort(t *s2plTxn) {
-	if t.client.cur != t {
+	if !t.live() {
 		return // the commit beat the wound notice; nothing to unwind
 	}
-	t.client.carryTs = t.ts
-	r.col.abort()
+	r.aborted(t)
 	r.net.Send(sizeControl, "s2pl.abortrel", func() { r.serverAbortRelease(t) })
 	r.scheduleNext(t.client)
 }
@@ -259,10 +123,4 @@ func (r *s2plRun) clientAbort(t *s2plTxn) {
 // arrives, promoting waiting requests.
 func (r *s2plRun) serverAbortRelease(t *s2plTxn) {
 	r.applyLockActions(r.core.AbortRelease(t.id))
-}
-
-// scheduleNext replaces the finished transaction after an idle period.
-func (r *s2plRun) scheduleNext(c *s2plClient) {
-	c.cur = nil
-	r.kernel.AfterLabeled(c.gen.Idle(), "s2pl.begin", func() { r.begin(c) })
 }

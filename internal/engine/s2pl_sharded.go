@@ -6,10 +6,7 @@ import (
 
 	"repro/internal/history"
 	"repro/internal/ids"
-	"repro/internal/netmodel"
 	"repro/internal/protocol"
-	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -20,17 +17,9 @@ type s2pcWrite struct {
 	value int64
 }
 
-// s2pcTxn is one transaction instance executing under sharded s-2PL with
-// a 2PC commit.
-type s2pcTxn struct {
-	id      ids.Txn
-	ts      ids.Txn // priority timestamp: first incarnation's id
-	client  *s2pcClient
-	profile workload.Profile
-	opIdx   int
-	start   sim.Time
-	reqSent sim.Time
-	reads   []history.Read
+// s2pcState is what a transaction carries under sharded s-2PL with a 2PC
+// commit, beyond the harness's share.
+type s2pcState struct {
 	vals    []int64 // granted value per completed op, for bank transfers
 	touched []int   // shards touched, in first-touch order
 	rec     history.Committed
@@ -39,78 +28,49 @@ type s2pcTxn struct {
 	writesBy map[int][]s2pcWrite
 }
 
-func (t *s2pcTxn) op() workload.Op { return t.profile.Ops[t.opIdx] }
+type s2pcTxn = txn[s2pcState]
 
 // touch records a shard in the transaction's participant set.
-func (t *s2pcTxn) touch(s int) {
-	if !slices.Contains(t.touched, s) {
-		t.touched = append(t.touched, s)
+func (x *s2pcState) touch(s int) {
+	if !slices.Contains(x.touched, s) {
+		x.touched = append(x.touched, s)
 	}
 }
 
 // shards returns the participant set in ascending order.
-func (t *s2pcTxn) shards() []int {
-	out := slices.Clone(t.touched)
+func (x *s2pcState) shards() []int {
+	out := slices.Clone(x.touched)
 	slices.Sort(out)
 	return out
-}
-
-// s2pcClient is one client site: multiprogramming level 1, sequential
-// execution, exactly as in the single-server engine.
-type s2pcClient struct {
-	id  ids.Client
-	gen *workload.Generator
-	cur *s2pcTxn
-	// carryTs preserves an aborted transaction's priority for its restart
-	// (Wait-Die/Wound-Wait fairness). Cleared on commit.
-	carryTs ids.Txn
 }
 
 // s2pcRun adapts the sharded protocol cores — K protocol.Participant lock
 // shards plus one protocol.Coordinator — to the discrete-event kernel.
 // Every decision lives in the cores; this driver owns the version/value
-// store, the transaction lifecycle and message delivery, mirroring
-// s2plRun. Unlike the single-server engines it drains to quiescence after
-// the commit target (collector.onDone) instead of stopping mid-event, so
-// the final store never holds half a distributed commit.
+// store and message delivery, mirroring s2plRun. Unlike the single-server
+// engines it drains to quiescence after the commit target (collector.drain)
+// instead of stopping mid-event, so the final store never holds half a
+// distributed commit.
 type s2pcRun struct {
-	cfg     Config
-	kernel  *sim.Kernel
-	net     *netmodel.Network
-	col     *collector
+	*harness[s2pcState]
 	smap    protocol.ShardMap
 	coord   *protocol.Coordinator
 	parts   []*protocol.Participant
 	version map[ids.Item]ids.Txn
 	value   map[ids.Item]int64
-	active  map[ids.Txn]*s2pcTxn
-	clients []*s2pcClient
-	nextTxn ids.Txn
-	maxEv   *sim.Event
 }
 
 func runS2PLSharded(cfg Config) (Result, error) {
-	k := sim.New()
-	hasher := installTracer(k, cfg)
-	var smap protocol.ShardMap
-	if cfg.HashShards {
-		smap = protocol.NewHashShardMap(cfg.Shards)
-	} else {
-		smap = protocol.NewRangeShardMap(cfg.Shards, cfg.Workload.Items)
-	}
 	r := &s2pcRun{
-		cfg:     cfg,
-		kernel:  k,
-		net:     newNetwork(k, cfg),
-		col:     newCollector(k, cfg),
-		smap:    smap,
 		coord:   protocol.NewCoordinator(cfg.Victim, cfg.Deadlock),
 		version: make(map[ids.Item]ids.Txn),
 		value:   make(map[ids.Item]int64),
-		active:  make(map[ids.Txn]*s2pcTxn),
-		nextTxn: 1,
 	}
-	r.col.onDone = r.onTarget
+	if cfg.HashShards {
+		r.smap = protocol.NewHashShardMap(cfg.Shards)
+	} else {
+		r.smap = protocol.NewRangeShardMap(cfg.Shards, cfg.Workload.Items)
+	}
 	for s := 0; s < cfg.Shards; s++ {
 		r.parts = append(r.parts, protocol.NewParticipant(s, cfg.Victim, cfg.Deadlock))
 	}
@@ -119,75 +79,19 @@ func runS2PLSharded(cfg Config) (Result, error) {
 			r.value[ids.Item(i)] = cfg.InitialBalance
 		}
 	}
-	root := rng.New(cfg.Seed, 1)
-	wl := cfg.Workload
-	wl.HomeSlots = cfg.Clients
-	if !cfg.HashShards {
-		wl.Shards = cfg.Shards
-		wl.CrossProb = cfg.CrossRatio
+	r.harness = newRun(cfg, "2pc", r.sendRequest, r.shardedCommit)
+	r.col.drain = true
+	res, err := r.finish()
+	if err != nil {
+		return res, err
 	}
-	for i := 0; i < cfg.Clients; i++ {
-		wl.HomeSlot = i
-		c := &s2pcClient{
-			id:  ids.Client(i),
-			gen: workload.NewGenerator(wl, root.Split(uint64(i))),
-		}
-		r.clients = append(r.clients, c)
-		k.AtLabeled(c.gen.Idle(), "2pc.begin", func() { r.begin(c) })
-	}
-	if cfg.MaxTime > 0 {
-		r.maxEv = k.AtLabeled(cfg.MaxTime, "maxtime", k.Stop)
-	}
-	k.Run()
-	if !r.col.done {
-		return Result{}, fmt.Errorf("engine: sharded s-2PL run hit MaxTime %d with %d/%d commits", cfg.MaxTime, r.col.commits, cfg.TargetCommits)
-	}
-	res := r.col.result(S2PL, r.net.Messages, r.net.Bytes, k.Now())
-	res.Held = r.net.Held
-	res.Events = k.Fired()
 	res.TwoPC = r.coord.Counters()
 	res.Causes = r.coord.Causes()
 	for _, p := range r.parts {
 		res.Causes.Merge(p.Core().Causes())
 	}
 	res.Values = r.value
-	if hasher != nil {
-		res.TrajectoryHash = hasher.Sum64()
-	}
 	return res, nil
-}
-
-// onTarget runs when the commit target is reached: the clients stop
-// spawning (scheduleNext checks col.done) and the livelock guard is
-// cancelled so the kernel can drain the in-flight transactions and stop
-// on an empty queue.
-func (r *s2pcRun) onTarget() {
-	if r.maxEv != nil {
-		r.kernel.Cancel(r.maxEv)
-	}
-}
-
-// begin starts a fresh transaction at client c and sends its first
-// request immediately.
-func (r *s2pcRun) begin(c *s2pcClient) {
-	if r.col.done {
-		return
-	}
-	ts := c.carryTs
-	if ts == 0 {
-		ts = r.nextTxn
-	}
-	t := &s2pcTxn{
-		id:      r.nextTxn,
-		ts:      ts,
-		client:  c,
-		profile: c.gen.Next(),
-		start:   r.kernel.Now(),
-	}
-	r.nextTxn++
-	c.cur = t
-	r.active[t.id] = t
-	r.sendRequest(t)
 }
 
 // sendRequest ships the current operation's lock request to its owning
@@ -195,7 +99,7 @@ func (r *s2pcRun) begin(c *s2pcClient) {
 func (r *s2pcRun) sendRequest(t *s2pcTxn) {
 	op := t.op()
 	s := r.smap.Of(op.Item)
-	t.touch(s)
+	t.x.touch(s)
 	t.reqSent = r.kernel.Now()
 	epoch := t.opIdx
 	r.net.Send(sizeRequest, "2pc.req", func() { r.shardRequest(s, t, op, epoch) })
@@ -230,7 +134,7 @@ func (r *s2pcRun) applyPart(s int, acts []protocol.PartAction) {
 			// A local (single-shard) deadlock victim: same unwind contract
 			// as single-server s-2PL, except the release fans out to every
 			// touched shard and the coordinator learns the abort completed.
-			delete(r.active, t.id)
+			r.kill(t)
 			r.col.abortEnq++
 			r.net.Send(sizeControl, "2pc.abort", func() { r.clientAbort(t) })
 		case protocol.PartBlocked:
@@ -259,37 +163,17 @@ func (r *s2pcRun) sendPartGrant(t *s2pcTxn, op workload.Op) {
 	r.net.Send(sizeData, "2pc.grant", func() { r.clientPartGrant(t, op, ver, val) })
 }
 
-// clientPartGrant is the client's grant handler: record the access,
-// think, then issue the next request or start the commit.
+// clientPartGrant is the client's grant handler. A conservative
+// coordinator victim notice can unwind the transaction mid-think (its
+// stale wait edges made it look blocked) — one reason the harness's timers
+// re-check liveness before acting.
 func (r *s2pcRun) clientPartGrant(t *s2pcTxn, op workload.Op, ver ids.Txn, val int64) {
-	if r.active[t.id] != t {
+	if !t.live() {
 		return // unwound while the grant was in flight
 	}
-	r.col.opWaited(r.kernel.Now() - t.reqSent)
-	if !op.Write {
-		t.reads = append(t.reads, history.Read{Item: op.Item, Version: ver})
-	}
-	t.vals = append(t.vals, val)
-	// A conservative coordinator victim notice can unwind the transaction
-	// mid-think (its stale wait edges made it look blocked), so both timer
-	// closures re-check liveness before acting.
-	think := t.client.gen.Think()
-	if t.opIdx+1 < len(t.profile.Ops) {
-		r.kernel.AfterLabeled(think, "2pc.think", func() {
-			if r.active[t.id] != t {
-				return
-			}
-			t.opIdx++
-			r.sendRequest(t)
-		})
-		return
-	}
-	r.kernel.AfterLabeled(think, "2pc.commit", func() {
-		if r.active[t.id] != t {
-			return
-		}
-		r.shardedCommit(t)
-	})
+	r.waited(t)
+	t.x.vals = append(t.x.vals, val)
+	r.granted(t, op, ver)
 }
 
 // shardedCommit starts the commit at the client: the writes are staged
@@ -298,32 +182,30 @@ func (r *s2pcRun) clientPartGrant(t *s2pcTxn, op workload.Op, ver ids.Txn, val i
 // in one phase for a single-shard transaction or runs the voting round.
 // Response time stops at the outcome's arrival, not here.
 func (r *s2pcRun) shardedCommit(t *s2pcTxn) {
-	rec := history.Committed{Txn: t.id, Reads: t.reads}
-	t.writesBy = make(map[int][]s2pcWrite)
+	t.x.rec = t.record()
+	t.x.writesBy = make(map[int][]s2pcWrite)
 	delta := int64(t.id%7) + 1
 	widx := 0
 	for i, op := range t.profile.Ops {
 		if !op.Write {
 			continue
 		}
-		rec.Writes = append(rec.Writes, op.Item)
 		// Non-bank runs install the writer's id as the value — a version
 		// stamp; bank runs move delta from the first account to the second.
 		val := int64(t.id)
 		if r.cfg.Bank {
 			if widx == 0 {
-				val = t.vals[i] - delta
+				val = t.x.vals[i] - delta
 			} else {
-				val = t.vals[i] + delta
+				val = t.x.vals[i] + delta
 			}
 		}
 		widx++
 		s := r.smap.Of(op.Item)
-		t.writesBy[s] = append(t.writesBy[s], s2pcWrite{item: op.Item, value: val})
+		t.x.writesBy[s] = append(t.x.writesBy[s], s2pcWrite{item: op.Item, value: val})
 	}
-	t.rec = rec
-	shards := t.shards()
-	r.net.Send(sizeControl+sizeData*len(rec.Writes), "2pc.commitreq", func() {
+	shards := t.x.shards()
+	r.net.Send(sizeControl+sizeData*len(t.x.rec.Writes), "2pc.commitreq", func() {
 		r.applyCoord(r.coord.CommitRequest(t.id, t.client.id, shards))
 	})
 }
@@ -342,7 +224,7 @@ func (r *s2pcRun) applyCoord(acts []protocol.CoordAction) {
 			var writes []s2pcWrite
 			if commit {
 				if t := r.active[txn]; t != nil {
-					writes = t.writesBy[s]
+					writes = t.x.writesBy[s]
 				}
 			}
 			r.net.Send(sizeControl+sizeData*len(writes), "2pc.decide", func() {
@@ -394,8 +276,7 @@ func (r *s2pcRun) clientOutcome(txn ids.Txn, commit bool) {
 		return
 	}
 	delete(r.active, txn)
-	t.client.carryTs = 0
-	r.col.commit(r.kernel.Now()-t.start, t.rec)
+	r.committed(t, t.x.rec)
 	r.scheduleNext(t.client)
 }
 
@@ -424,9 +305,8 @@ func (r *s2pcRun) clientAbort(t *s2pcTxn) {
 // the unwind finished, replace the transaction after an idle period.
 func (r *s2pcRun) unwindAbort(t *s2pcTxn) {
 	delete(r.active, t.id)
-	t.client.carryTs = t.ts
-	r.col.abort()
-	for _, s := range t.shards() {
+	r.aborted(t)
+	for _, s := range t.x.shards() {
 		r.net.Send(sizeControl, "2pc.abortrel", func() { r.shardAbortRelease(s, t.id) })
 	}
 	r.net.Send(sizeControl, "2pc.abortdone", func() {
@@ -439,15 +319,4 @@ func (r *s2pcRun) unwindAbort(t *s2pcTxn) {
 // unwind.
 func (r *s2pcRun) shardAbortRelease(s int, txn ids.Txn) {
 	r.applyPart(s, r.parts[s].ClientAbort(txn))
-}
-
-// scheduleNext replaces the finished transaction after an idle period,
-// unless the commit target was reached — then the client stops and the
-// run drains.
-func (r *s2pcRun) scheduleNext(c *s2pcClient) {
-	c.cur = nil
-	if r.col.done {
-		return
-	}
-	r.kernel.AfterLabeled(c.gen.Idle(), "2pc.begin", func() { r.begin(c) })
 }

@@ -289,9 +289,9 @@ func (cl *cluster) run() (*Result, error) {
 		st.MeanBlocked = time.Duration(blockedNs / blockedN)
 	}
 	if cl.sharded() {
-		st.Causes = cl.coord.coord.Causes()
+		st.Causes = cl.coord.causes()
 		for _, ss := range cl.shards {
-			st.Causes.Merge(ss.part.Core().Causes())
+			st.Causes.Merge(ss.causes())
 		}
 		// Restart aborts are attributed client-side (no core sees them).
 		st.Causes.Restart = cl.restartAborts.Load()
@@ -321,7 +321,7 @@ func (cl *cluster) run() (*Result, error) {
 	if cl.sharded() {
 		// The site goroutines are gone (shutdown waited on them), so their
 		// state is safe to harvest single-threaded here.
-		res.Stats.TwoPC = cl.coord.coord.Counters()
+		res.Stats.TwoPC = cl.coord.counters()
 		res.Stats.CoordRestarts = cl.coord.crashes
 		res.Stats.Inquiries = cl.coord.inquiries
 		res.Stats.InDoubtResolvedCommit = cl.coord.resolvedCommit

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/protocol"
+	"repro/internal/stats"
 )
 
 // TestWALReplay pins the redo pass on a hand-built log: committed writes
@@ -322,6 +323,63 @@ func TestShardedCoordCrashBankInvariant(t *testing.T) {
 		t.Fatal("coordinator never crashed across all seeds")
 	}
 	t.Logf("coordRestarts=%d inquiries=%d inDoubtResolved=%d", restarts, inquiries, resolved)
+}
+
+// TestCountersSurviveCrashRestart pins, deterministically and at the
+// sites, that a crash-restart loses no counter: the dead incarnation's
+// abort causes and 2PC counters stay in the site's totals, and a round
+// that was still voting when the coordinator died is accounted as the
+// presumed abort it is.
+func TestCountersSurviveCrashRestart(t *testing.T) {
+	cfg := crashBankConfig(2, 1, ChaosConfig{})
+	cfg.Deadlock = protocol.PolicyNoWait
+	cl, err := newCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := cl.shards[0]
+	ss.shardRequest(reqMsg{txn: 1, client: 0, item: 0, write: true, ts: 1})
+	ss.shardRequest(reqMsg{txn: 2, client: 1, item: 0, write: true, ts: 2})
+	if c := ss.causes(); c.NoWait != 1 {
+		t.Fatalf("set-up: the conflicting request was not a no-wait abort: %+v", c)
+	}
+	ss.crashRestart()
+	if c := ss.causes(); c.NoWait != 1 {
+		t.Fatalf("shard restart lost the dead incarnation's abort causes: %+v", c)
+	}
+
+	cs := cl.coord
+	cs.coordCommitReq(commitReqMsg{txn: 3, client: 0, shards: []int{0, 1}})
+	cs.crashRestart()
+	want := stats.TwoPC{Prepares: 2, Aborts: 1, CrossTxns: 1, Txns: 1}
+	if got := cs.counters(); got != want {
+		t.Fatalf("coordinator restart: counters %+v, want %+v", got, want)
+	}
+}
+
+// TestShardedCoordCrashCountersReconcile is the end-to-end invariant the
+// lost counters used to break: on a sharded run whose coordinator
+// crashes, every commit a client saw was decided by some incarnation, so
+// the 2PC commit count over all incarnations equals the run's commits
+// (runSharded also checks Txns = Commits + Aborts over all of them).
+func TestShardedCoordCrashCountersReconcile(t *testing.T) {
+	var restarts int64
+	for _, seed := range []uint64{1, 2, 3} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			cfg := bankLiveConfig(4, seed, ChaosConfig{})
+			cfg.WAL = true
+			cfg.Crash = CrashConfig{CoordProb: 0.03}
+			st := runSharded(t, cfg).Stats
+			if st.TwoPC.Commits != st.Commits {
+				t.Fatalf("2PC commits %d over %d coordinator restarts, clients committed %d",
+					st.TwoPC.Commits, st.CoordRestarts, st.Commits)
+			}
+			restarts += st.CoordRestarts
+		})
+	}
+	if restarts == 0 {
+		t.Fatal("coordinator never crashed across all seeds")
+	}
 }
 
 // TestShardedCorrelatedCrashChaos is the full failure matrix: shard

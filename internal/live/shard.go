@@ -10,6 +10,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/protocol"
 	"repro/internal/rng"
+	"repro/internal/stats"
 )
 
 // Termination-protocol backoff bounds: a shard with in-doubt (prepared)
@@ -142,6 +143,9 @@ type shardSite struct {
 	crashRng *rng.Stream
 	crashes  int64
 	replayed int64
+	// pastCauses totals the abort causes of crashed incarnations: a
+	// restart replaces part, and its counters would die with it.
+	pastCauses stats.AbortCauses
 
 	// Termination-protocol timer: armed whenever the prepared (in-doubt)
 	// set is non-empty, firing inquiries with exponential backoff. inqC is
@@ -316,6 +320,7 @@ func (ss *shardSite) maybeCrash() {
 // decisions still arrive exactly once.
 func (ss *shardSite) crashRestart() {
 	ss.crashes++
+	ss.pastCauses = ss.causes()
 	ss.part = protocol.NewParticipant(ss.idx, ss.cl.cfg.Victim, ss.cl.cfg.Deadlock)
 	ss.versions = make(map[ids.Item]ids.Txn)
 	ss.values = make(map[ids.Item]int64)
@@ -336,6 +341,13 @@ func (ss *shardSite) crashRestart() {
 	// restarted site forgot it filed them, so no clear is coming. FIFO on
 	// this link orders every pre-crash report before the notice.
 	ss.cl.net.send(ids.ShardSite(ss.idx), ids.Coordinator, restartMsg{shard: ss.idx})
+}
+
+// causes returns the site's abort causes over every incarnation.
+func (ss *shardSite) causes() stats.AbortCauses {
+	c := ss.pastCauses
+	c.Merge(ss.part.Core().Causes())
+	return c
 }
 
 func (ss *shardSite) shardRequest(m reqMsg) {
@@ -466,6 +478,10 @@ type coordSite struct {
 	inquiries      int64
 	resolvedCommit int64
 	resolvedAbort  int64
+	// pastTwoPC and pastCauses total the counters of crashed incarnations:
+	// a restart replaces coord, and its counters would die with it.
+	pastTwoPC  stats.TwoPC
+	pastCauses stats.AbortCauses
 }
 
 func newCoordSite(cl *cluster) *coordSite {
@@ -680,6 +696,14 @@ func (cs *coordSite) maybeCrash() {
 // inquiries resolve any participant left prepared by a dead round.
 func (cs *coordSite) crashRestart() {
 	cs.crashes++
+	dead := cs.coord.Counters()
+	// A round still voting dies with its incarnation and is never decided:
+	// presumed abort. Counting it as one keeps Txns = Commits + Aborts
+	// across restarts (the client's retry opens a new round, counted
+	// afresh).
+	dead.Aborts = dead.Txns - dead.Commits
+	cs.pastTwoPC.Merge(dead)
+	cs.pastCauses.Merge(cs.coord.Causes())
 	coord := protocol.NewCoordinator(cs.cl.cfg.Victim, cs.cl.cfg.Deadlock)
 	if cs.cl.cfg.Crash.Prob > 0 {
 		coord.SetAlwaysPrepare(true)
@@ -707,6 +731,20 @@ func (cs *coordSite) crashRestart() {
 	for k := range cs.cl.shards {
 		cs.cl.net.send(ids.Coordinator, ids.ShardSite(k), coordRestartMsg{})
 	}
+}
+
+// counters returns the site's 2PC phase counters over every incarnation.
+func (cs *coordSite) counters() stats.TwoPC {
+	t := cs.pastTwoPC
+	t.Merge(cs.coord.Counters())
+	return t
+}
+
+// causes returns the site's abort causes over every incarnation.
+func (cs *coordSite) causes() stats.AbortCauses {
+	c := cs.pastCauses
+	c.Merge(cs.coord.Causes())
+	return c
 }
 
 // coordAbortDone closes a victim unwind. If a commit request crossed the

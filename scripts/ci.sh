@@ -7,7 +7,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "== make check (gofmt, go vet, repolint, build, tests) =="
+echo "== make check (gofmt, go vet, repolint, build, tests, bench smoke) =="
 make check
 
 # Machine-readable lint report: every finding, suppressed ones included,
