@@ -225,10 +225,13 @@ func DefaultConfig() *Config {
 				// server entry points.
 				"sendGrant":        {"applyLockActions"},
 				"applyLockActions": {"serverRequest", "serverRelease", "serverAbortRelease"},
-				// g-2PL: data reaches a client only via deliverSegment (new
-				// segments) or the sanctioned re-delivery paths.
-				"deliverSegment": {"dispatchWindow", "advanceWriter"},
-				"clientData":     {"deliverSegment", "tryExpand", "writerRelease"},
+				// g-2PL: the group core's decisions become sends only in
+				// applyGroup, called from the three server entry points; later
+				// segments ship from a finished writer (deliverSegment), and in
+				// basic mode the last reader release is the writer's delivery.
+				"applyGroup":     {"serverRequest", "dispatchWindow", "serverRelease"},
+				"deliverSegment": {"advanceWriter"},
+				"clientData":     {"applyGroup", "deliverSegment", "writerRelease"},
 				// c-2PL: the cache core's decisions become sends only in
 				// applyCacheActions, called from the four server entry
 				// points; clientGrant is the delivery handler on the other
@@ -248,8 +251,10 @@ func DefaultConfig() *Config {
 				"granted": {"clientGrant", "clientPartGrant", "clientData", "step"},
 			},
 			"repro/internal/live": {
-				"applyLock":  {"s2plRequest", "s2plRelease"},
-				"sendData":   {"dispatch"},
+				"applyLock": {"s2plRequest", "s2plRelease"},
+				// g-2PL: one emitter for the group core's decisions; it
+				// re-enters itself to dispatch a window reported ready.
+				"applyGroup": {"handleG2PL", "applyGroup"},
 				"applyCache": {"c2plRequest", "c2plDefer", "c2plRelease", "c2plFinish"},
 				// The sharded topology's two action emitters: every
 				// message a shard site or the coordinator site sends is
@@ -279,13 +284,19 @@ func DefaultConfig() *Config {
 				// one block point per core — a second judge site is how two
 				// cores disagree about who is older. Victim aborts funnel
 				// through one abort emitter per victim kind.
-				"JudgeBlock":   {"judgeBlocked", "judgeRequest", "judgeDefer"},
+				"JudgeBlock":   {"judgeBlocked", "judgeRequest", "judgeDefer", "judgeFlight"},
 				"judgeBlocked": {"Request"},
 				"judgeRequest": {"Request"},
 				"judgeDefer":   {"Defer"},
 				"abortVictim":  {"Request", "judgeBlocked"},
 				"woundHolder":  {"judgeRequest", "judgeDefer"},
 				"abortWaiter":  {"Request", "Defer", "judgeRequest", "judgeDefer"},
+				// g-2PL: a request blocks on a flight when it arrives or when
+				// the length cap leaves it behind a new one; read expansion
+				// only adds wait edges, so it only resolves cycles.
+				"judgeFlight": {"Request", "Dispatch"},
+				"resolve":     {"Request", "Expand", "Dispatch"},
+				"abort":       {"judgeFlight", "resolve"},
 			},
 			// The live transport's emission topology (DESIGN.md §10–11):
 			// every wire transmission funnels through network.transmit
@@ -298,13 +309,6 @@ func DefaultConfig() *Config {
 				"stampAndRetain": {"send"},
 				"onAck":          {"deliverable"},
 				"noteReceived":   {"deliverable"},
-				// g-2PL judges policy in the driver (its wait edges come
-				// from window chaining, not the lock table), so the live
-				// server's judge/wound/abort topology is pinned here the
-				// same way the cores' is above.
-				"g2plJudge": {"g2plRequest"},
-				"g2plWound": {"g2plJudge"},
-				"g2plAbort": {"g2plRequest", "g2plJudge"},
 			},
 		},
 		ImportAllow: map[string][]string{
@@ -383,6 +387,7 @@ func DefaultConfig() *Config {
 			"repro/internal/protocol.RecallDecision":  true,
 			"repro/internal/protocol.CoordActionKind": true,
 			"repro/internal/protocol.PartActionKind":  true,
+			"repro/internal/protocol.GroupActionKind": true,
 			// The policy enums: adding a fifth deadlock policy (or a third
 			// victim rule) instantly flags every switch that does not
 			// handle it — JudgeBlock and the String/parse pairs.

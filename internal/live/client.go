@@ -626,29 +626,20 @@ func (c *client) finishItem(t *liveTxn, h *heldItem) {
 	if !t.aborted {
 		ver, val = t.id, int64(t.id)
 	}
-	list := plan.List
-	if j+1 >= list.NumSegments() {
-		c.cl.net.send(c.id, ids.Server, fwdMsg{item: h.item, from: t.id, version: ver, value: val, plan: plan})
+	home := fwdMsg{item: h.item, from: t.id, version: ver, value: val, plan: plan}
+	if plan.IsFinal(j) {
+		c.cl.net.send(c.id, ids.Server, home)
 		return
 	}
-	next := list.Segment(j + 1)
-	if next.Write {
-		e := next.Entries[0]
-		c.cl.net.send(c.id, e.Client, dataMsg{txn: e.Txn, item: h.item, version: ver, value: val, plan: plan})
-		return
-	}
-	for _, e := range next.Entries {
+	// The writer dispatches the next segment: its readers, then their MR1W
+	// companion writer, then — from a final read group — the data's own
+	// return home.
+	for _, e := range plan.Recipients(j + 1) {
 		c.cl.net.send(c.id, e.Client, dataMsg{txn: e.Txn, item: h.item, version: ver, value: val, plan: plan})
 	}
-	if j+2 < list.NumSegments() {
-		if plan.MR1W {
-			e := list.Segment(j + 2).Entries[0]
-			c.cl.net.send(c.id, e.Client, dataMsg{txn: e.Txn, item: h.item, version: ver, value: val, plan: plan})
-		}
-		return
+	if plan.HomeReturnOnDispatch(j + 1) {
+		c.cl.net.send(c.id, ids.Server, home)
 	}
-	// Final read group dispatched by a writer: the data also goes home.
-	c.cl.net.send(c.id, ids.Server, fwdMsg{item: h.item, from: t.id, version: ver, value: val, plan: plan})
 }
 
 // gcResidual drops a finished transaction once nothing further can arrive

@@ -302,7 +302,7 @@ func (cl *cluster) run() (*Result, error) {
 		case C2PL:
 			st.Causes = cl.server.cacheCore.Causes()
 		case G2PL:
-			st.Causes = cl.server.causes
+			st.Causes = cl.server.group.Causes()
 		}
 	}
 	if cl.net.arq != nil {

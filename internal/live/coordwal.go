@@ -49,38 +49,9 @@ type coordRec struct {
 	ckRounds []coordRound // coordCheckpoint: unacked rounds, ascending txn
 }
 
-// coordWAL is the coordinator's write-ahead log, same in-memory-with-
-// real-discipline shape as the shard wal: appended and synced before the
-// state transition it makes durable (the Decide transmissions).
-type coordWAL struct {
-	records     []coordRec
-	appends     int64
-	checkpoints int64
-	truncated   int64
-	sinceCkpt   int
-	syncFn      func() // fsync seam; nil means the sync point is a no-op
-}
-
-// append adds one record and passes the sync point.
-func (w *coordWAL) append(r coordRec) {
-	w.records = append(w.records, r)
-	w.appends++
-	w.sinceCkpt++
-	if w.syncFn != nil {
-		w.syncFn()
-	}
-}
-
-// checkpoint appends the checkpoint record and truncates the prefix it
-// supersedes, so records[0] is always the latest checkpoint afterwards.
-func (w *coordWAL) checkpoint(r coordRec) {
-	w.append(r)
-	w.checkpoints++
-	cut := len(w.records) - 1
-	w.truncated += int64(cut)
-	w.records = append([]coordRec(nil), w.records[cut:]...)
-	w.sinceCkpt = 0
-}
+// coordWAL is the coordinator's write-ahead log: appended and synced
+// before the Decide transmissions it makes durable.
+type coordWAL struct{ durableLog[coordRec] }
 
 // replay rebuilds the restarted coordinator's durable state: every commit
 // round logged at or after the last checkpoint, in decision order, with

@@ -15,7 +15,8 @@ import (
 // in-doubt, and the in-doubt residue comes back in first-prepare order.
 func TestWALReplay(t *testing.T) {
 	syncs := 0
-	w := &wal{syncFn: func() { syncs++ }}
+	w := &wal{}
+	w.syncFn = func() { syncs++ }
 	lk := []protocol.RecoveredLock{{Item: 1, Write: true}}
 	w.append(walRecord{kind: walPrepare, txn: 10, client: 1, ts: 10, locks: lk})
 	w.append(walRecord{kind: walPrepare, txn: 20, client: 2, ts: 20})
@@ -204,7 +205,8 @@ func TestShardedCrashMaxCapsFaults(t *testing.T) {
 // restarted coordinator re-sends decisions and collects them again.
 func TestCoordWALReplay(t *testing.T) {
 	syncs := 0
-	w := &coordWAL{syncFn: func() { syncs++ }}
+	w := &coordWAL{}
+	w.syncFn = func() { syncs++ }
 	w.append(coordRec{kind: coordCommit, round: coordRound{txn: 10, client: 1, shards: []int{0, 1}}})
 	w.append(coordRec{kind: coordCommit, round: coordRound{txn: 20, client: 2, shards: []int{1}}})
 	// Txn 10 fully acked before the checkpoint: it is omitted from the

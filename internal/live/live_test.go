@@ -133,6 +133,33 @@ func TestG2PLLiveSerializable(t *testing.T) {
 	}
 }
 
+// TestG2PLLiveServerStateBounded pins the g-2PL server's footprint to the
+// transactions in progress. The server gets no commit message, so a
+// transaction has to leave the precedence graph and the transaction table
+// with its last done report; a server that keeps them grows with the
+// commit count (4 992 precedence nodes after these 6 400 commits) and every
+// ordering walks the dead.
+func TestG2PLLiveServerStateBounded(t *testing.T) {
+	cfg := Config{Protocol: G2PL, Clients: 8, Workload: workload.Default(), TxnsPerClient: 800, Seed: 1}
+	cl, err := newCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cl.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := serial.Check(res.History); err != nil {
+		t.Fatal(err)
+	}
+	// The site goroutines are gone; the core is safe to read.
+	waits, order, txns := cl.server.group.Footprint()
+	if waits != 0 || order > cfg.Clients || txns > cfg.Clients {
+		t.Fatalf("after %d commits the server still holds %d wait edges, %d precedence nodes, %d transactions; want 0, <=%d, <=%d",
+			res.Stats.Commits, waits, order, txns, cfg.Clients, cfg.Clients)
+	}
+}
+
 func TestC2PLLiveSerializable(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		cfg := testConfig(C2PL)

@@ -97,6 +97,8 @@ func TestPolicyStatsSurface(t *testing.T) {
 func TestWoundWaitAlwaysPrepares(t *testing.T) {
 	cfg := shardedLiveConfig(3, 1, ChaosConfig{})
 	cfg.Deadlock = protocol.PolicyWoundWait
+	cfg.WAL = true
+	cfg.Crash = CrashConfig{CoordProb: 0.01} // coordinator-only: shards never crash
 	cl, err := newCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -105,5 +107,13 @@ func TestWoundWaitAlwaysPrepares(t *testing.T) {
 	tpc := cl.coord.coord.Counters()
 	if tpc.OnePhase != 0 || tpc.Prepares != 1 {
 		t.Fatalf("single-shard commit under Wound-Wait must run a voting round: %+v", tpc)
+	}
+	// A restarted coordinator is a fresh core: it has to be built the way
+	// the first one was, or the one-phase fast path is back.
+	cl.coord.crashRestart()
+	cl.coord.coordCommitReq(commitReqMsg{txn: 2, client: 1, shards: []int{1}})
+	tpc = cl.coord.coord.Counters()
+	if tpc.OnePhase != 0 || tpc.Prepares != 1 {
+		t.Fatalf("single-shard commit after a coordinator restart must still run a voting round: %+v", tpc)
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/protocol"
-	"repro/internal/stats"
 )
 
 // server is the single data-server site. All state below is owned by the
@@ -20,18 +19,8 @@ type server struct {
 	// lockCore is the s-2PL state machine.
 	lockCore *protocol.LockServer
 
-	// disp and items are the g-2PL state: the dispatch core plus the
-	// per-item window/flight bookkeeping. Under an avoidance policy the
-	// server also tracks each transaction's priority timestamp and the
-	// item its request is pending on, so Wound-Wait can find and unhook a
-	// victim's queued request; causes counts the policy-decided aborts
-	// (the DES engines count these inside the cores — g-2PL judges in the
-	// driver, so the live server mirrors that here).
-	disp        *protocol.Dispatcher
-	items       map[ids.Item]*liveItem
-	g2plTs      map[ids.Txn]ids.Txn
-	g2plPending map[ids.Txn]*liveItem
-	causes      stats.AbortCauses
+	// group is the g-2PL state machine.
+	group *protocol.GroupServer
 
 	// cacheCore is the c-2PL state machine.
 	cacheCore *protocol.CacheServer
@@ -39,22 +28,6 @@ type server struct {
 	// Shared versioned store.
 	versions map[ids.Item]ids.Txn
 	values   map[ids.Item]int64
-}
-
-// liveItem is the g-2PL server-side state of one data item.
-type liveItem struct {
-	id       ids.Item
-	atServer bool
-	pending  []reqMsg
-	edges    map[ids.Txn][]ids.Txn // wait edges stored per pending txn
-	flight   *liveFlight
-}
-
-// liveFlight tracks one dispatched forward list at the server.
-type liveFlight struct {
-	fl       *protocol.Flight
-	expected int // returns that close the window, fixed at dispatch
-	received int
 }
 
 func newServer(cl *cluster) *server {
@@ -65,15 +38,12 @@ func newServer(cl *cluster) *server {
 		cl:       cl,
 		mbox:     mbox,
 		lockCore: protocol.NewLockServer(cl.cfg.Victim, cl.cfg.Deadlock),
-		disp: protocol.NewDispatcher(protocol.WindowOptions{
-			MR1W: !cl.cfg.NoMR1W,
-		}),
-		items:       make(map[ids.Item]*liveItem),
-		g2plTs:      make(map[ids.Txn]ids.Txn),
-		g2plPending: make(map[ids.Txn]*liveItem),
-		cacheCore:   protocol.NewCacheServer(cl.cfg.Deadlock),
-		versions:    make(map[ids.Item]ids.Txn),
-		values:      make(map[ids.Item]int64),
+		// The server cannot see what has reached a client, so it has no
+		// held-items view to offer: the requester that closes a cycle dies.
+		group:     protocol.NewGroupServer(protocol.WindowOptions{MR1W: !cl.cfg.NoMR1W}, cl.cfg.Deadlock, cl.cfg.Victim, nil),
+		cacheCore: protocol.NewCacheServer(cl.cfg.Deadlock),
+		versions:  make(map[ids.Item]ids.Txn),
+		values:    make(map[ids.Item]int64),
 	}
 }
 
@@ -110,12 +80,7 @@ func (s *server) quiet() bool {
 	case C2PL:
 		return s.cacheCore.Quiet()
 	case G2PL:
-		for _, it := range s.items {
-			if !it.atServer || len(it.pending) > 0 {
-				return false
-			}
-		}
-		return true
+		return s.group.Quiet()
 	default:
 		panic(fmt.Sprintf("live: server running unknown protocol %v", s.cl.cfg.Protocol))
 	}
@@ -176,217 +141,50 @@ func (s *server) applyLock(acts []protocol.LockAction) {
 
 // ---- g-2PL ----
 
+// handleG2PL turns the three server-bound g-2PL messages into core events:
+// a request, a return (the data coming home, or a final-segment reader's
+// release) and a client's cc that a member finished an item. There is no
+// commit message: the core retires a transaction with its last done.
 func (s *server) handleG2PL(m message) {
 	switch msg := m.(type) {
 	case reqMsg:
-		s.g2plRequest(msg)
+		s.applyGroup(s.group.Request(protocol.GroupRequest{
+			Txn: msg.txn, Client: msg.client, Item: msg.item, Write: msg.write, Ts: msg.ts,
+		}))
 	case fwdMsg:
-		s.g2plHome(msg)
+		if !msg.release {
+			s.versions[msg.item] = msg.version
+			s.values[msg.item] = msg.value
+		}
+		s.applyGroup(s.group.Return(msg.item))
 	case doneMsg:
-		s.g2plDone(msg)
+		s.group.Done(msg.item, msg.txn)
 	default:
 		panic(fmt.Sprintf("live: g-2PL server got unexpected %T", m))
 	}
 }
 
-func (s *server) item(id ids.Item) *liveItem {
-	it := s.items[id]
-	if it == nil {
-		it = &liveItem{id: id, atServer: true, edges: make(map[ids.Txn][]ids.Txn)}
-		s.items[id] = it
-	}
-	return it
-}
-
-func (s *server) g2plRequest(m reqMsg) {
-	it := s.item(m.item)
-	it.pending = append(it.pending, m)
-	if s.cl.cfg.Deadlock.Avoidance() {
-		ts := m.ts
-		if ts == 0 {
-			ts = m.txn
-		}
-		s.g2plTs[m.txn] = ts
-		s.g2plPending[m.txn] = it
-	}
-	if it.atServer && it.flight == nil {
-		s.dispatch(it)
-		return
-	}
-	if it.flight != nil {
-		it.edges[m.txn] = s.disp.BlockOnFlight(it.flight.fl, m.txn)
-		if s.cl.cfg.Deadlock.Avoidance() && s.g2plJudge(it, m) {
-			return // the requester died; nothing left to cycle-check
-		}
-		if s.disp.Waits.CycleThrough(m.txn) != nil {
-			s.causes.Deadlock++
-			s.g2plAbort(it, m)
+// applyGroup emits the group core's ordered decisions as messages — the
+// single emission site for server-side g-2PL data and abort notices. A
+// ready window dispatches at once: the live server has no window delay.
+func (s *server) applyGroup(acts []protocol.GroupAction) {
+	for _, a := range acts {
+		switch a.Kind {
+		case protocol.GroupData:
+			s.cl.net.send(ids.Server, a.Client, dataMsg{
+				txn:     a.Txn,
+				item:    a.Item,
+				version: s.versions[a.Item],
+				value:   s.values[a.Item],
+				plan:    a.Plan,
+			})
+		case protocol.GroupAbort:
+			s.cl.net.send(ids.Server, a.Client, abortMsg{txn: a.Txn})
+		case protocol.GroupReady:
+			_, next := s.group.Dispatch(a.Item)
+			s.applyGroup(next)
 		}
 	}
-}
-
-// g2plJudge applies the avoidance policy at the block-on-flight point,
-// the live twin of the engine's judgeFlight: the requester dies (No-Wait,
-// Wait-Die) or wounds the younger unfinished flight members (Wound-Wait).
-// Cycle detection stays armed as a backstop under every policy — g-2PL
-// wait edges also arise from window chaining and precedence order, which
-// no timestamp discipline covers. Reports whether the requester aborted.
-func (s *server) g2plJudge(it *liveItem, m reqMsg) bool {
-	blockers := it.edges[m.txn]
-	if len(blockers) == 0 {
-		return false
-	}
-	blockerTs := make([]ids.Txn, len(blockers))
-	for i, b := range blockers {
-		blockerTs[i] = s.g2plTsOf(b)
-	}
-	die, wound := protocol.JudgeBlock(s.cl.cfg.Deadlock, s.g2plTsOf(m.txn), blockerTs)
-	if die {
-		if s.cl.cfg.Deadlock == protocol.PolicyNoWait {
-			s.causes.NoWait++
-		} else {
-			s.causes.Die++
-		}
-		s.g2plAbort(it, m)
-		return true
-	}
-	for _, i := range wound {
-		s.causes.Wound++
-		s.g2plWound(it, blockers[i])
-	}
-	return false
-}
-
-// g2plTsOf returns txn's priority timestamp, defaulting to its id.
-func (s *server) g2plTsOf(txn ids.Txn) ids.Txn {
-	if ts, ok := s.g2plTs[txn]; ok {
-		return ts
-	}
-	return txn
-}
-
-// g2plWound aborts one unfinished member of it's flight on behalf of an
-// older blocked requester. If the victim's own next request is queued
-// somewhere, it is unhooked first (the victim will never run again); the
-// abort notice does the rest — the client forwards the wounded
-// transaction's held items unchanged, so the flight still completes and
-// the window closes.
-func (s *server) g2plWound(it *liveItem, txn ids.Txn) {
-	if pit := s.g2plPending[txn]; pit != nil {
-		delete(s.g2plPending, txn)
-		for i, q := range pit.pending {
-			if q.txn == txn {
-				pit.pending = append(pit.pending[:i], pit.pending[i+1:]...)
-				break
-			}
-		}
-		s.disp.Unblock(txn, pit.edges[txn])
-		delete(pit.edges, txn)
-	}
-	s.disp.Order.Remove(txn)
-	if e, ok := it.flight.fl.Plan.EntryOf(txn); ok {
-		s.cl.net.send(ids.Server, e.Client, abortMsg{txn: txn})
-	}
-}
-
-func (s *server) g2plAbort(it *liveItem, m reqMsg) {
-	delete(s.g2plPending, m.txn)
-	for i, q := range it.pending {
-		if q.txn == m.txn {
-			it.pending = append(it.pending[:i], it.pending[i+1:]...)
-			break
-		}
-	}
-	s.disp.Unblock(m.txn, it.edges[m.txn])
-	delete(it.edges, m.txn)
-	s.disp.Order.Remove(m.txn)
-	s.cl.net.send(ids.Server, m.client, abortMsg{txn: m.txn})
-}
-
-// dispatch closes the item's collection window: the core orders the
-// pending requests (reader grouping, precedence-consistent), detects
-// dispatch-time deadlocks and builds the plan; the server notifies the
-// victims, records the flight and ships the first segment.
-func (s *server) dispatch(it *liveItem) {
-	if len(it.pending) == 0 || !it.atServer {
-		return
-	}
-	reqs := it.pending
-	it.pending = nil
-	wreqs := make([]protocol.WindowRequest, len(reqs))
-	for i, q := range reqs {
-		wreqs[i] = protocol.WindowRequest{Txn: q.txn, Client: q.client, Write: q.write}
-		s.disp.Unblock(q.txn, it.edges[q.txn])
-		delete(it.edges, q.txn)
-		delete(s.g2plPending, q.txn)
-	}
-	plan, victims, rest := s.disp.PlanWindow(it.id, wreqs)
-	for _, v := range victims {
-		s.cl.net.send(ids.Server, v.Client, abortMsg{txn: v.Txn})
-	}
-	if len(rest) != 0 {
-		// The live dispatcher runs without a window cap.
-		panic("live: unexpected forward-list cap remainder")
-	}
-	if plan == nil {
-		return
-	}
-
-	it.flight = &liveFlight{fl: protocol.NewFlight(plan), expected: plan.FinalReturns()}
-	it.atServer = false
-
-	// Ship segment 0 (and, under MR1W, its companion writer).
-	ver, val := s.versions[it.id], s.values[it.id]
-	for _, e := range plan.Recipients(0) {
-		s.sendData(e.Client, e.Txn, it.id, ver, val, plan)
-	}
-}
-
-// sendData delivers one data copy of a dispatching segment — the single
-// emission site for server-side g-2PL data messages.
-func (s *server) sendData(cli ids.Client, txn ids.Txn, item ids.Item, ver ids.Txn, val int64, plan *protocol.FlightPlan) {
-	s.cl.net.send(ids.Server, cli, dataMsg{txn: txn, item: item, version: ver, value: val, plan: plan})
-}
-
-// g2plHome handles data or final-segment releases arriving back at the
-// server; when all expected returns are in, the window closes and the
-// next one dispatches.
-func (s *server) g2plHome(m fwdMsg) {
-	it := s.item(m.item)
-	fl := it.flight
-	if fl == nil {
-		return
-	}
-	if !m.release {
-		s.versions[m.item] = m.version
-		s.values[m.item] = m.value
-	}
-	fl.received++
-	if fl.received < fl.expected {
-		return
-	}
-	it.flight = nil
-	it.atServer = true
-	for txn, edges := range it.edges {
-		s.disp.Unblock(txn, edges)
-		delete(it.edges, txn)
-	}
-	// Pending requests recompute their edges at the next dispatch.
-	s.dispatch(it)
-}
-
-// g2plDone processes a client's cc that a transaction finished an item:
-// the wait-for graph drops the chain edges pointing at it, and the
-// server's view of the flight advances. When the finishing member is a
-// writer that dispatches a final read group or returns data, the client's
-// fwdMsg (g2plHome) carries the authoritative state; done only maintains
-// detection metadata.
-func (s *server) g2plDone(m doneMsg) {
-	it := s.item(m.item)
-	if it.flight == nil {
-		return
-	}
-	s.disp.MemberDone(it.flight.fl, m.txn)
 }
 
 // ---- c-2PL ----

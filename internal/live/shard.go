@@ -484,12 +484,12 @@ type coordSite struct {
 	pastCauses stats.AbortCauses
 }
 
-func newCoordSite(cl *cluster) *coordSite {
-	mbox := newMailbox(16 * cl.cfg.Clients)
-	mbox.owner = ids.Coordinator
-	mbox.arq = cl.net.arq
-	coord := protocol.NewCoordinator(cl.cfg.Victim, cl.cfg.Deadlock)
-	if cl.cfg.Crash.Prob > 0 || cl.cfg.Deadlock == protocol.PolicyWoundWait {
+// newCoordCore builds one incarnation of the coordinator core; epoch is
+// the number of crashes before it. Both the first incarnation and every
+// restart come through here, so a restart cannot forget a setting.
+func newCoordCore(cfg Config, epoch int) *protocol.Coordinator {
+	coord := protocol.NewCoordinator(cfg.Victim, cfg.Deadlock)
+	if cfg.Crash.Prob > 0 || cfg.Deadlock == protocol.PolicyWoundWait {
 		// One-phase commit is not crash-durable (see SetAlwaysPrepare):
 		// under participant crash faults every commit runs a voting round,
 		// so the prepared state pinning its install is always WAL-logged.
@@ -505,14 +505,25 @@ func newCoordSite(cl *cluster) *coordSite {
 		// votes no.
 		coord.SetAlwaysPrepare(true)
 	}
+	coord.SetRecoverable(cfg.WAL)
+	// Each incarnation votes in its own epoch, so a retried round never
+	// counts yes votes a dead incarnation solicited (the voter may have
+	// been aborted by a termination-protocol answer in between).
+	coord.SetEpoch(epoch)
+	return coord
+}
+
+func newCoordSite(cl *cluster) *coordSite {
+	mbox := newMailbox(16 * cl.cfg.Clients)
+	mbox.owner = ids.Coordinator
+	mbox.arq = cl.net.arq
 	cs := &coordSite{
 		cl:      cl,
 		mbox:    mbox,
-		coord:   coord,
+		coord:   newCoordCore(cl.cfg, 0),
 		pending: make(map[ids.Txn]commitReqMsg),
 	}
 	if cl.cfg.WAL {
-		coord.SetRecoverable(true)
 		cs.cwal = &coordWAL{}
 		cs.logged = make(map[ids.Txn]*coordRound)
 	}
@@ -704,16 +715,7 @@ func (cs *coordSite) crashRestart() {
 	dead.Aborts = dead.Txns - dead.Commits
 	cs.pastTwoPC.Merge(dead)
 	cs.pastCauses.Merge(cs.coord.Causes())
-	coord := protocol.NewCoordinator(cs.cl.cfg.Victim, cs.cl.cfg.Deadlock)
-	if cs.cl.cfg.Crash.Prob > 0 {
-		coord.SetAlwaysPrepare(true)
-	}
-	coord.SetRecoverable(true)
-	// Each incarnation votes in its own epoch, so a retried round never
-	// counts yes votes a dead incarnation solicited (the voter may have
-	// been aborted by a termination-protocol answer in between).
-	coord.SetEpoch(int(cs.crashes))
-	cs.coord = coord
+	cs.coord = newCoordCore(cs.cl.cfg, int(cs.crashes))
 	cs.pending = make(map[ids.Txn]commitReqMsg)
 	rounds, replayed := cs.cwal.replay()
 	cs.replayed += replayed

@@ -117,14 +117,15 @@ type walRecord struct {
 	ckPrepared []walRecord
 }
 
-// wal is one shard site's write-ahead log. The log is in-memory — the
-// store it protects is in-memory too — but the discipline is the real
-// one: a record is appended, and the sync point passed, before the state
-// transition it makes durable (the vote transmission, the install). The
-// syncFn seam is where a disk-backed implementation would fsync, and
-// where tests observe the durability point.
-type wal struct {
-	records     []walRecord
+// durableLog is the write-ahead discipline the shard log and the
+// coordinator log share. The log is in-memory — the store it protects is
+// in-memory too — but the discipline is the real one: a record is
+// appended, and the sync point passed, before the state transition it
+// makes durable (the vote transmission, the install, the Decide
+// transmissions). The syncFn seam is where a disk-backed implementation
+// would fsync, and where tests observe the durability point.
+type durableLog[R any] struct {
+	records     []R
 	appends     int64
 	checkpoints int64
 	truncated   int64  // records dropped by checkpoint truncation
@@ -133,7 +134,7 @@ type wal struct {
 }
 
 // append adds one record and passes the sync point.
-func (w *wal) append(r walRecord) {
+func (w *durableLog[R]) append(r R) {
 	w.records = append(w.records, r)
 	w.appends++
 	w.sinceCkpt++
@@ -147,14 +148,17 @@ func (w *wal) append(r walRecord) {
 // records[0] is always the latest checkpoint afterwards. Truncating only
 // after the append passes the sync point mirrors the on-disk discipline —
 // the old prefix is deleted only once the snapshot is durable.
-func (w *wal) checkpoint(r walRecord) {
+func (w *durableLog[R]) checkpoint(r R) {
 	w.append(r)
 	w.checkpoints++
 	cut := len(w.records) - 1
 	w.truncated += int64(cut)
-	w.records = append([]walRecord(nil), w.records[cut:]...)
+	w.records = append([]R(nil), w.records[cut:]...)
 	w.sinceCkpt = 0
 }
+
+// wal is one shard site's write-ahead log.
+type wal struct{ durableLog[walRecord] }
 
 // replay rebuilds a crashed site's durable state: committed writes are
 // re-installed into versions/values in log order, and every prepared

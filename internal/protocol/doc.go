@@ -17,12 +17,14 @@
 //
 //   - LockServer owns the s-2PL lock table, wait-for graph and blocked
 //     set; drivers own the version store and message delivery.
-//   - Dispatcher owns the g-2PL wait-for and precedence graphs and the
-//     window ordering/victim rules; FlightPlan owns the per-flight
-//     routing rules (segment fan-out, MR1W companions, release targets,
-//     return accounting); Flight owns member-completion tracking.
-//     Drivers own collection-window timing, per-member transaction state
-//     and data movement.
+//   - GroupServer owns the g-2PL server: every item's window and flight,
+//     the transaction table, the one policy block point, cycle victims,
+//     return counting — over a Dispatcher (wait-for and precedence
+//     graphs, window ordering), FlightPlan (per-flight routing) and
+//     Flight (member completion). Drivers own when a ready window
+//     dispatches, the store and the clients' side of the migration. The
+//     DES reports a commit with Finish; the live server gets no commit
+//     message, so there a transaction retires with its last done report.
 //   - CacheServer owns the c-2PL ownership table, queues, recall and
 //     deferral bookkeeping plus its wait-for graph; CacheClient owns the
 //     client lock/data cache, in-use marks and deferred recalls. Drivers

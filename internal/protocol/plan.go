@@ -38,27 +38,14 @@ func (p *FlightPlan) IsFinal(j int) bool { return j == p.List.NumSegments()-1 }
 // dispatches, in emission order: a write segment's single writer, or a
 // read group's readers followed — under MR1W, when a successor segment
 // exists — by the next segment's writer receiving its copy concurrently.
+// The result may be the list's own storage: read it, do not change it.
 func (p *FlightPlan) Recipients(j int) []fwdlist.Entry {
 	seg := p.List.Segment(j)
-	if seg.Write {
+	if seg.Write || !p.MR1W || j+1 >= p.List.NumSegments() {
 		return seg.Entries
 	}
-	out := append([]fwdlist.Entry(nil), seg.Entries...)
-	if p.MR1W && j+1 < p.List.NumSegments() {
-		out = append(out, p.List.Segment(j + 1).Entries[0])
-	}
-	return out
-}
-
-// ArmRelWait returns the successor writer whose reader-release counter
-// arms when read group j dispatches, and the number of releases it must
-// collect. need is 0 for a write segment or the final segment.
-func (p *FlightPlan) ArmRelWait(j int) (writer ids.Txn, need int) {
-	seg := p.List.Segment(j)
-	if seg.Write || j+1 >= p.List.NumSegments() {
-		return ids.None, 0
-	}
-	return p.List.Segment(j + 1).Entries[0].Txn, len(seg.Entries)
+	out := make([]fwdlist.Entry, 0, len(seg.Entries)+1)
+	return append(append(out, seg.Entries...), p.List.Segment(j + 1).Entries[0])
 }
 
 // RelWaitFor returns how many reader releases the writer in segment j

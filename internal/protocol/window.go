@@ -32,15 +32,11 @@ type WindowRequest struct {
 	Write  bool
 }
 
-// Dispatcher owns the g-2PL server-side ordering state — the wait-for
-// graph used for deadlock detection and the precedence graph enforcing
-// consistent forward-list order across items — plus the window dispatch
-// rules. Drivers own collection-window timing and data movement.
-//
-// Waits and Order are exported so drivers can run their own cycle checks
-// (deadlock resolution interleaves with driver-side aborts) and install
-// protocol-extension edges (read expansion); all window-time mutation
-// routes through the methods below.
+// Dispatcher owns the g-2PL ordering state — the wait-for graph used for
+// deadlock detection and the precedence graph enforcing consistent
+// forward-list order across items — plus the window dispatch rules.
+// GroupServer is its one production caller; Waits and Order are exported
+// for the benchmark's per-layer probes.
 type Dispatcher struct {
 	// Waits is the wait-for graph; a cycle through a blocked request is a
 	// deadlock.
@@ -188,7 +184,7 @@ func (d *Dispatcher) removeChainEdges(list *fwdlist.List) {
 // avoidance is off, constrains the precedence graph: every in-flight
 // member is granted this item before the pending request, so wherever
 // both meet again the member must come first. It returns the wait edges
-// installed, which the driver stores and later removes with Unblock.
+// installed, which the caller stores and later removes with Unblock.
 func (d *Dispatcher) BlockOnFlight(f *Flight, txn ids.Txn) []ids.Txn {
 	edges := f.Unfinished()
 	for _, m := range edges {

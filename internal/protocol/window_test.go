@@ -154,9 +154,6 @@ func TestFlightPlanRouting(t *testing.T) {
 	if len(rec) != 3 || rec[0].Txn != 1 || rec[1].Txn != 2 || rec[2].Txn != 3 {
 		t.Errorf("recipients(0) = %v, want readers then writer companion", rec)
 	}
-	if w, need := plan.ArmRelWait(0); w != 3 || need != 2 {
-		t.Errorf("ArmRelWait(0) = (%v, %d), want (T3, 2)", w, need)
-	}
 	if got := plan.RelWaitFor(1); got != 2 {
 		t.Errorf("RelWaitFor(writer) = %d, want 2", got)
 	}
@@ -184,8 +181,8 @@ func TestFlightPlanRouting(t *testing.T) {
 	if got := plan2.FinalReturns(); got != 1 {
 		t.Errorf("final-writer FinalReturns = %d, want 1", got)
 	}
-	if w, need := plan2.ArmRelWait(0); w != 8 || need != 1 {
-		t.Errorf("ArmRelWait = (%v, %d), want (T8, 1)", w, need)
+	if got := plan2.RelWaitFor(1); got != 1 {
+		t.Errorf("RelWaitFor(final writer) = %d, want 1", got)
 	}
 	// A server-dispatched final read group sends no separate home return.
 	plan3, _, _ := d.PlanWindow(7, []WindowRequest{wreq(9, 0, false)})
