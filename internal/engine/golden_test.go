@@ -139,6 +139,24 @@ func goldenCases() []goldenCase {
 			}
 		}
 	}
+	// Two g-2PL client-side paths at the same hot parameters that no row
+	// above reaches: a read-expansion extra is on no forward list and
+	// releases straight to the server (9 of them in this run), and
+	// least-held is the only victim rule that reads the clients' held counts
+	// (98 cycles resolved by them, 75 aborts against the requester rule's 78).
+	for _, v := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"readexpand", func(c *Config) { c.ReadExpand = true }},
+		{"leastheld", func(c *Config) { c.Victim = VictimLeastHeld }},
+	} {
+		cfg := goldenConfig(G2PL, 1)
+		cfg.Workload.Items = 10
+		cfg.Workload.ReadProb = 0.25
+		v.set(&cfg)
+		cases = append(cases, goldenCase{name: fmt.Sprintf("%s/seed1/hot/%s", G2PL, v.name), cfg: cfg})
+	}
 	// Partition-window points (DESIGN.md §15): one outage inside every
 	// run (the shortest lasts 12 760 ticks), long enough to catch in-flight
 	// rounds of every protocol, plus a sharded point where held
