@@ -225,13 +225,12 @@ func DefaultConfig() *Config {
 				// server entry points.
 				"sendGrant":        {"applyLockActions"},
 				"applyLockActions": {"serverRequest", "serverRelease", "serverAbortRelease"},
-				// g-2PL: the group core's decisions become sends only in
-				// applyGroup, called from the three server entry points; later
-				// segments ship from a finished writer (deliverSegment), and in
-				// basic mode the last reader release is the writer's delivery.
-				"applyGroup":     {"serverRequest", "dispatchWindow", "serverRelease"},
-				"deliverSegment": {"advanceWriter"},
-				"clientData":     {"applyGroup", "deliverSegment", "writerRelease"},
+				// g-2PL: the server core's decisions become sends only in
+				// applyGroup, called from the three server entry points; a
+				// client core's grants, releases and forwards only in
+				// applyClient, called from the four client events.
+				"applyGroup":  {"serverRequest", "dispatchWindow", "serverRelease"},
+				"applyClient": {"clientData", "clientRelease", "commit", "clientAbort"},
 				// c-2PL: the cache core's decisions become sends only in
 				// applyCacheActions, called from the four server entry
 				// points; clientGrant is the delivery handler on the other
@@ -248,14 +247,23 @@ func DefaultConfig() *Config {
 				// Harness: an operation completes — and the client moves on
 				// to its next request or its commit — only from the four
 				// grant handlers and c-2PL's local cache hit.
-				"granted": {"clientGrant", "clientPartGrant", "clientData", "step"},
+				"granted": {"clientGrant", "clientPartGrant", "applyClient", "step"},
 			},
 			"repro/internal/live": {
 				"applyLock": {"s2plRequest", "s2plRelease"},
 				// g-2PL: one emitter for the group core's decisions; it
 				// re-enters itself to dispatch a window reported ready.
 				"applyGroup": {"handleG2PL", "applyGroup"},
-				"applyCache": {"c2plRequest", "c2plDefer", "c2plRelease", "c2plFinish"},
+				// ... and one for each client core's actions, from the two
+				// arrivals (data, a reader's release) and the two ends of a
+				// transaction.
+				"applyClient": {"handle", "commit", "aborted"},
+				"applyCache":  {"c2plRequest", "c2plDefer", "c2plRelease", "c2plFinish"},
+				// The client lifecycle: an operation completes — and the client
+				// thinks, then steps again or commits — only on an s-2PL grant
+				// (handle), a g-2PL delivery (applyClient), a c-2PL grant or a
+				// local cache hit (step).
+				"granted": {"handle", "applyClient", "onGrant", "step"},
 				// The sharded topology's two action emitters: every
 				// message a shard site or the coordinator site sends is
 				// the image of a protocol-core action, emitted through
@@ -382,12 +390,13 @@ func DefaultConfig() *Config {
 			},
 		},
 		EnumSums: map[string]bool{
-			"repro/internal/protocol.LockActionKind":  true,
-			"repro/internal/protocol.CacheActionKind": true,
-			"repro/internal/protocol.RecallDecision":  true,
-			"repro/internal/protocol.CoordActionKind": true,
-			"repro/internal/protocol.PartActionKind":  true,
-			"repro/internal/protocol.GroupActionKind": true,
+			"repro/internal/protocol.LockActionKind":   true,
+			"repro/internal/protocol.CacheActionKind":  true,
+			"repro/internal/protocol.RecallDecision":   true,
+			"repro/internal/protocol.CoordActionKind":  true,
+			"repro/internal/protocol.PartActionKind":   true,
+			"repro/internal/protocol.GroupActionKind":  true,
+			"repro/internal/protocol.ClientActionKind": true,
 			// The policy enums: adding a fifth deadlock policy (or a third
 			// victim rule) instantly flags every switch that does not
 			// handle it — JudgeBlock and the String/parse pairs.

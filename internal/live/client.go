@@ -23,12 +23,11 @@ type liveTxn struct {
 	start   time.Time
 	// opSent is when the current operation's request left, for the
 	// blocked-time estimate (observed wait minus the round trip).
-	opSent  time.Time
-	reads   []history.Read
-	writes  []writeUpdate
-	held    []heldItem
-	aborted bool
-	done    bool
+	opSent time.Time
+	reads  []history.Read
+	// vals are the values s-2PL granted this transaction's writes, in
+	// operation order: what a bank transfer computes its new balances from.
+	vals []int64
 	// committing marks a sharded transaction whose commit request is with
 	// the coordinator: its fate belongs to 2PC now, so a shard's
 	// crash-restart announcement must not abort it from the client side —
@@ -41,24 +40,27 @@ type liveTxn struct {
 	// targets of an abort unwind.
 	touched []int
 
-	// g-2PL bookkeeping: reader releases received (and required) per
-	// item on which this transaction is the next writer.
-	relGot  map[ids.Item]int
-	relNeed map[ids.Item]int
-	gates   int // items whose releases still gate all forwards
-}
-
-// heldItem is a delivered data item at the client.
-type heldItem struct {
-	item      ids.Item
-	write     bool
-	plan      *protocol.FlightPlan
-	version   ids.Txn
-	value     int64
-	forwarded bool
+	// g is the transaction's side of its g-2PL flights: what it holds, the
+	// reader releases gathered for it, and what leaves when it ends.
+	g protocol.GroupClient
 }
 
 func (t *liveTxn) op() workload.Op { return t.profile.Ops[t.opIdx] }
+
+// record is the history entry of t's commit — its reads so far and every
+// write of its profile — and the updates it installs: a writer's own id is
+// the new value.
+func (t *liveTxn) record() (history.Committed, []writeUpdate) {
+	rec := history.Committed{Txn: t.id, Reads: t.reads}
+	var writes []writeUpdate
+	for _, op := range t.profile.Ops {
+		if op.Write {
+			rec.Writes = append(rec.Writes, op.Item)
+			writes = append(writes, writeUpdate{item: op.Item, value: int64(t.id)})
+		}
+	}
+	return rec, writes
+}
 
 // touch records a shard in the transaction's participant set, once.
 func (t *liveTxn) touch(shard int) {
@@ -68,15 +70,6 @@ func (t *liveTxn) touch(shard int) {
 		}
 	}
 	t.touched = append(t.touched, shard)
-}
-
-func (t *liveTxn) heldEntry(item ids.Item) *heldItem {
-	for i := range t.held {
-		if t.held[i].item == item {
-			return &t.held[i]
-		}
-	}
-	return nil
 }
 
 // client is one client site: a goroutine running transactions and serving
@@ -92,10 +85,14 @@ type client struct {
 	// transaction boundaries. Unused by the other protocols.
 	cache *protocol.CacheClient
 
-	cur       *liveTxn
-	residual  map[ids.Txn]*liveTxn
-	committed int
-	signaled  bool
+	// cur is the transaction the client runs; nil between transactions.
+	// residual holds the ended g-2PL transactions that have not settled:
+	// flights they are members of still owe them data or reader releases.
+	cur      *liveTxn
+	residual map[ids.Txn]*liveTxn
+	acts     []protocol.ClientAction // applyClient's batch, reused
+	ncommit  int
+	signaled bool
 
 	// carryTs is the priority timestamp the next transaction begins with:
 	// set when one aborts (the restart keeps its age — the no-starvation
@@ -160,11 +157,16 @@ func (c *client) loop() {
 	}
 }
 
+// The transaction lifecycle every protocol shares, under the names of the
+// DES harness (internal/engine/harness.go): beginNext → step → granted →
+// think → step … → commit → committed, or aborted at any point; both ends
+// lead back to beginNext.
+
 // beginNext schedules the next transaction after an idle period, or
 // signals the cluster when the commit target is reached (the client keeps
 // serving residual duties either way).
 func (c *client) beginNext(arm func(time.Duration, func())) {
-	if c.committed >= c.cl.cfg.TxnsPerClient {
+	if c.ncommit >= c.cl.cfg.TxnsPerClient {
 		if !c.signaled {
 			c.signaled = true
 			c.cl.clientAtTarget()
@@ -182,44 +184,179 @@ func (c *client) beginNext(arm func(time.Duration, func())) {
 			ts:      ts,
 			profile: c.gen.Next(),
 			start:   time.Now(),
-			relGot:  make(map[ids.Item]int),
-			relNeed: make(map[ids.Item]int),
+			g:       protocol.GroupClient{Txn: id},
 		}
 		if c.cl.cfg.Protocol == C2PL {
 			c.cache.Begin()
-			c.stepC2PL(arm)
-			return
 		}
-		c.sendRequest()
+		c.step(arm)
 	})
 }
 
-func (c *client) sendRequest() {
-	op := c.cur.op()
-	c.cur.opSent = time.Now()
+// step performs the current operation. Under c-2PL a sufficient cached lock
+// is a local hit (no network at all — the whole point of c-2PL); otherwise
+// the request travels to the server, or to the item's shard.
+func (c *client) step(arm func(time.Duration, func())) {
+	t := c.cur
+	op := t.op()
+	if c.cl.cfg.Protocol == C2PL {
+		if ver, _, ok := c.cache.Hit(op.Item, op.Write); ok {
+			c.granted(t, op.Item, ver, arm)
+			return
+		}
+	}
+	t.opSent = time.Now()
 	m := reqMsg{
-		txn:    c.cur.id,
+		txn:    t.id,
 		client: c.id,
 		item:   op.Item,
 		write:  op.Write,
-		epoch:  c.cur.opIdx,
-		ts:     c.cur.ts,
+		epoch:  t.opIdx,
+		ts:     t.ts,
 	}
 	if c.cl.sharded() {
 		s := c.cl.smap.Of(op.Item)
-		c.cur.touch(s)
+		t.touch(s)
 		c.cl.net.send(c.id, ids.ShardSite(s), m)
 		return
 	}
 	c.cl.net.send(c.id, ids.Server, m)
 }
 
+// granted finishes one operation of t (a grant, a delivery or a cache
+// hit): record the wait and the access, think, then step again or commit.
+func (c *client) granted(t *liveTxn, item ids.Item, ver ids.Txn, arm func(time.Duration, func())) {
+	op := t.op()
+	if op.Item != item {
+		panic(fmt.Sprintf("live: %v received %v while waiting for %v", t.id, item, op.Item))
+	}
+	c.noteWait(t)
+	if !op.Write {
+		t.reads = append(t.reads, history.Read{Item: item, Version: ver})
+	}
+	arm(time.Duration(c.gen.Think())*tick, func() {
+		if t.opIdx+1 < len(t.profile.Ops) {
+			t.opIdx++
+			c.step(arm)
+			return
+		}
+		c.commit(t, arm)
+	})
+}
+
+// noteWait records the current operation's blocked-time estimate: the
+// observed request-to-data wait minus one server round trip, clamped at
+// zero — waits at or under the wire cost are not lock contention. A cache
+// hit sent no request and records nothing.
+func (c *client) noteWait(t *liveTxn) {
+	if t.opSent.IsZero() {
+		return
+	}
+	w := time.Since(t.opSent) - 2*c.cl.cfg.Latency
+	if w < 0 {
+		w = 0
+	}
+	c.blockedNs += int64(w)
+	c.blockedN++
+	t.opSent = time.Time{}
+}
+
+// commit finishes the current transaction after its last think time. A
+// sharded one goes to the 2PC coordinator and ends in onOutcome; the others
+// end here: audit, count, then the protocol's end-of-transaction messages —
+// s-2PL's combined commit/release; the g-2PL forwards, which a gate may
+// hold back; c-2PL's updates and deferred releases in one message, write
+// locks and new versions staying cached.
+func (c *client) commit(t *liveTxn, arm func(time.Duration, func())) {
+	if c.cl.sharded() {
+		c.commitSharded(t)
+		return
+	}
+	rec, writes := t.record()
+	c.cl.audit.commit(rec)
+	c.committed(t)
+	switch c.cl.cfg.Protocol {
+	case S2PL:
+		c.cl.net.send(c.id, ids.Server, releaseMsg{txn: t.id, writes: writes})
+	case G2PL:
+		c.applyClient(t, t.g.Commit(c.acts[:0]), arm)
+	case C2PL:
+		released := c.cache.Finish(t.id, rec.Writes)
+		c.cl.net.send(c.id, ids.Server, finishMsg{txn: t.id, client: c.id, writes: writes, released: released})
+	default:
+		panic(fmt.Sprintf("live: client running unknown protocol %v", c.cl.cfg.Protocol))
+	}
+	c.beginNext(arm)
+}
+
+// committed counts t's commit at its client: response time stops here.
+func (c *client) committed(t *liveTxn) {
+	c.cl.commits.Add(1)
+	resp := time.Since(t.start)
+	c.cl.resp.Add(int64(resp))
+	c.respSamp.Add(float64(resp))
+	c.ncommit++
+	c.carryTs = 0
+	c.cur = nil
+}
+
+// aborted ends the running transaction t on a victim notice, a shard's
+// restart or the coordinator's abort reply: count it, unwind what the
+// protocol has handed out, and start over; the restart inherits t's
+// priority.
+func (c *client) aborted(t *liveTxn, arm func(time.Duration, func())) {
+	c.carryTs = t.ts
+	c.cur = nil
+	c.cl.audit.abort()
+	c.cl.aborts.Add(1)
+	switch c.cl.cfg.Protocol {
+	case S2PL:
+		if c.cl.sharded() {
+			// Aborted releases to every touched shard free its locks and
+			// queue entries; the abort-done ack lets the coordinator clear
+			// its victim mark.
+			for _, s := range t.touched {
+				c.cl.net.send(c.id, ids.ShardSite(s), releaseMsg{txn: t.id, aborted: true})
+			}
+			c.cl.net.send(c.id, ids.Coordinator, abortDoneMsg{txn: t.id})
+		} else {
+			// The victim's release travels back before the server frees its
+			// locks (abort round trip).
+			c.cl.net.send(c.id, ids.Server, releaseMsg{txn: t.id, aborted: true})
+		}
+	case C2PL:
+		// The aborted work never used its recalled items durably: the
+		// deferred releases ride on the finish message, and the cached
+		// locks themselves stay — they belong to the site.
+		released := c.cache.Finish(t.id, nil)
+		c.cl.net.send(c.id, ids.Server, finishMsg{txn: t.id, client: c.id, released: released})
+	case G2PL:
+		c.applyClient(t, t.g.Abort(c.acts[:0]), arm)
+	default:
+		panic(fmt.Sprintf("live: client running unknown protocol %v", c.cl.cfg.Protocol))
+	}
+	c.beginNext(arm)
+}
+
 func (c *client) handle(m message, arm func(time.Duration, func())) {
 	switch msg := m.(type) {
 	case dataMsg:
-		c.onData(msg.txn, msg.item, msg.version, msg.value, msg.plan, arm)
+		if msg.plan == nil { // an s-2PL grant
+			if t := c.running(msg.txn); t != nil {
+				if t.op().Write {
+					t.vals = append(t.vals, msg.value)
+				}
+				c.granted(t, msg.item, msg.version, arm)
+			}
+			break
+		}
+		t := c.member(msg.txn)
+		d := protocol.GroupCopy{Plan: msg.plan, Version: msg.version, Value: msg.value}
+		c.applyClient(t, t.g.Data(d, c.acts[:0]), arm)
 	case fwdMsg:
-		c.onRelease(msg, arm)
+		t := c.member(msg.to)
+		d := protocol.GroupCopy{Plan: msg.plan, Version: msg.version, Value: msg.value}
+		c.applyClient(t, t.g.Release(d, c.acts[:0]), arm)
 	case abortMsg:
 		c.onAbort(msg.txn, arm)
 	case outcomeMsg:
@@ -237,221 +374,85 @@ func (c *client) handle(m message, arm func(time.Duration, func())) {
 	}
 }
 
-// txnByID finds the current transaction, a residual one, or creates an
-// aborted stub for a transaction this client has already forgotten (late
-// deliveries for deadlock victims).
-func (c *client) txnByID(id ids.Txn, create bool) *liveTxn {
+// running returns the client's current transaction if it is id, else nil:
+// a grant, notice or outcome for any other transaction is late.
+func (c *client) running(id ids.Txn) *liveTxn {
 	if c.cur != nil && c.cur.id == id {
 		return c.cur
+	}
+	return nil
+}
+
+// member finds the g-2PL transaction a delivery or release names: the
+// running one, an ended one with flights still open, or — for a victim this
+// client has already forgotten — a stub that passes the data straight on.
+func (c *client) member(id ids.Txn) *liveTxn {
+	if t := c.running(id); t != nil {
+		return t
 	}
 	if t := c.residual[id]; t != nil {
 		return t
 	}
-	if !create {
-		return nil
-	}
-	t := &liveTxn{
-		id: id, aborted: true, done: true,
-		relGot:  make(map[ids.Item]int),
-		relNeed: make(map[ids.Item]int),
-	}
-	c.residual[id] = t
+	t := &liveTxn{id: id, g: protocol.GroupClient{Txn: id}}
+	t.g.Abort(nil)
 	return t
 }
 
-// onData handles a data delivery (from the server or a forwarding client).
-func (c *client) onData(txn ids.Txn, item ids.Item, ver ids.Txn, val int64, plan *protocol.FlightPlan, arm func(time.Duration, func())) {
-	t := c.txnByID(txn, plan != nil)
-	if t == nil {
-		return // s-2PL: no late deliveries exist
-	}
-	if t.heldEntry(item) != nil {
-		return // duplicate of a release-carried delivery (basic-mode race)
-	}
-	write := plan == nil // s-2PL carries no plan; mode comes from the op
-	if plan != nil {
-		write = planWrites(plan, txn)
-	}
-	if t.done || t.aborted {
-		// Finished or aborted transaction: hold and forward unchanged
-		// immediately (paper §3.2).
-		t.held = append(t.held, heldItem{item: item, write: write, plan: plan, version: ver, value: val})
-		h := t.heldEntry(item)
-		if write && t.relGot[item] < c.needFor(plan, txn) {
-			// An aborted MR1W writer still gathers the reader releases
-			// before forwarding (conservative, mirrors the engine).
-			t.relNeed[item] = c.needFor(plan, txn)
-			return
-		}
-		c.finishItem(t, h)
-		c.gcResidual(t)
-		return
-	}
-	op := t.op()
-	if op.Item != item {
-		panic(fmt.Sprintf("live: %v received %v while waiting for %v", txn, item, op.Item))
-	}
-	c.noteWait(t)
-	t.held = append(t.held, heldItem{item: item, write: op.Write, plan: plan, version: ver, value: val})
-	if !op.Write {
-		t.reads = append(t.reads, history.Read{Item: item, Version: ver})
-	}
-	think := time.Duration(c.gen.Think()) * tick
-	if t.opIdx+1 < len(t.profile.Ops) {
-		arm(think, func() {
-			t.opIdx++
-			c.sendRequest()
-		})
-		return
-	}
-	arm(think, func() { c.commit(t, arm) })
-}
-
-// noteWait records the current operation's blocked-time estimate: the
-// observed request-to-data wait minus one server round trip, clamped at
-// zero — waits at or under the wire cost are not lock contention.
-func (c *client) noteWait(t *liveTxn) {
-	if t.opSent.IsZero() {
-		return
-	}
-	w := time.Since(t.opSent) - 2*c.cl.cfg.Latency
-	if w < 0 {
-		w = 0
-	}
-	c.blockedNs += int64(w)
-	c.blockedN++
-	t.opSent = time.Time{}
-}
-
-// needFor returns the reader releases txn must gather on plan, or 0.
-func (c *client) needFor(plan *protocol.FlightPlan, txn ids.Txn) int {
-	if plan == nil {
-		return 0
-	}
-	j := plan.SegOf(txn)
-	if j < 0 {
-		return 0
-	}
-	return plan.RelWaitFor(j)
-}
-
-// planWrites reports whether txn is a writer on the plan.
-func planWrites(plan *protocol.FlightPlan, txn ids.Txn) bool {
-	e, ok := plan.EntryOf(txn)
-	return ok && e.Write
-}
-
-// onRelease handles a reader's release addressed to one of this client's
-// writer transactions. In basic mode the final release is also the data
-// delivery; under MR1W it may clear a commit gate or unblock an aborted
-// writer's forward.
-func (c *client) onRelease(m fwdMsg, arm func(time.Duration, func())) {
-	t := c.txnByID(m.to, true)
-	t.relGot[m.item]++
-	need := c.needFor(m.plan, m.to)
-	t.relNeed[m.item] = need
-	if t.relGot[m.item] < need {
-		return
-	}
-	h := t.heldEntry(m.item)
-	if h == nil {
-		// No data yet: the completed releases are the delivery (basic
-		// mode, or an early-data message still in flight — onData
-		// ignores the duplicate).
-		c.onData(m.to, m.item, m.version, m.value, m.plan, arm)
-		return
-	}
-	if t.aborted {
-		c.finishItem(t, h)
-		c.gcResidual(t)
-		return
-	}
-	if t.done && t.gates > 0 {
-		t.gates--
-		if t.gates == 0 {
-			c.forwardAll(t)
-			c.gcResidual(t)
+// applyClient emits a g-2PL transaction's ordered actions as messages — the
+// single emission site of client-side g-2PL traffic — then files t with the
+// residual transactions, or forgets it once it has settled.
+func (c *client) applyClient(t *liveTxn, acts []protocol.ClientAction, arm func(time.Duration, func())) {
+	c.acts = acts
+	for _, a := range acts {
+		item := a.Plan.Item
+		switch a.Kind {
+		case protocol.ClientGranted:
+			c.granted(t, item, a.Version, arm)
+		case protocol.ClientDone:
+			c.cl.net.send(c.id, ids.Server, doneMsg{txn: t.id, item: item})
+		case protocol.ClientRelease:
+			c.cl.net.send(c.id, a.Client, fwdMsg{
+				item: item, from: t.id, to: a.To,
+				version: a.Version, value: a.Value,
+				release: true, plan: a.Plan,
+			})
+		case protocol.ClientData:
+			c.cl.net.send(c.id, a.Client, dataMsg{txn: a.To, item: item, version: a.Version, value: a.Value, plan: a.Plan})
+		case protocol.ClientHome:
+			c.cl.net.send(c.id, ids.Server, fwdMsg{item: item, from: t.id, version: a.Version, value: a.Value, plan: a.Plan})
+		default:
+			panic(fmt.Sprintf("live: client %v got unknown g-2PL action %d", c.id, a.Kind))
 		}
 	}
-	// Otherwise the transaction is still computing; commit observes the
-	// completed release count and does not gate on this item.
-}
-
-// commit finishes the current transaction (s-2PL and g-2PL; c-2PL commits
-// via commitC2PL, sharded s-2PL via commitSharded).
-func (c *client) commit(t *liveTxn, arm func(time.Duration, func())) {
-	if c.cl.sharded() {
-		c.commitSharded(t)
-		return
-	}
-	t.done = true
-	rec := history.Committed{Txn: t.id, Reads: t.reads}
-	for i := range t.held {
-		h := &t.held[i]
-		if h.write {
-			rec.Writes = append(rec.Writes, h.item)
-			t.writes = append(t.writes, writeUpdate{item: h.item, value: int64(t.id)})
-		}
-	}
-	c.cl.audit.commit(rec)
-	c.cl.commits.Add(1)
-	resp := time.Since(t.start)
-	c.cl.resp.Add(int64(resp))
-	c.respSamp.Add(float64(resp))
-	c.committed++
-	c.carryTs = 0
-	c.cur = nil
-
-	if c.cl.cfg.Protocol == S2PL {
-		c.cl.net.send(c.id, ids.Server, releaseMsg{txn: t.id, writes: t.writes})
-	} else {
-		for i := range t.held {
-			h := &t.held[i]
-			if h.write && t.relGot[h.item] < c.needFor(h.plan, t.id) {
-				t.relNeed[h.item] = c.needFor(h.plan, t.id)
-				t.gates++
-			}
-		}
-		if t.gates == 0 {
-			c.forwardAll(t)
-		}
+	if t.g.Settled() {
+		delete(c.residual, t.id)
+	} else if t != c.cur {
 		c.residual[t.id] = t
-		c.gcResidual(t)
 	}
-	c.beginNext(arm)
 }
 
 // commitSharded hands a fully-granted transaction to the 2PC
 // coordinator: the commit record and the staged per-shard writes travel
-// with the request, and the transaction stays current — neither done nor
-// counted — until the coordinator's outcome (or a victim notice) comes
-// back.
+// with the request, and the transaction stays current — not counted —
+// until the coordinator's outcome (or a victim notice) comes back.
 func (c *client) commitSharded(t *liveTxn) {
 	t.committing = true
-	rec := history.Committed{Txn: t.id, Reads: t.reads}
+	rec, writes := t.record()
 	writesBy := make(map[int][]writeUpdate)
 	delta := int64(t.id%7) + 1
-	widx := 0
-	for i := range t.held {
-		h := &t.held[i]
-		if !h.write {
-			continue
-		}
-		rec.Writes = append(rec.Writes, h.item)
-		val := int64(t.id)
+	for i, w := range writes {
 		if c.cl.cfg.Bank {
 			// A deterministic transfer between the transaction's two
 			// accounts: debit the first, credit the second by the same
 			// amount, preserving the global balance sum.
-			if widx == 0 {
-				val = h.value - delta
+			if i == 0 {
+				w.value = t.vals[i] - delta
 			} else {
-				val = h.value + delta
+				w.value = t.vals[i] + delta
 			}
 		}
-		widx++
-		s := c.cl.smap.Of(h.item)
-		writesBy[s] = append(writesBy[s], writeUpdate{item: h.item, value: val})
+		s := c.cl.smap.Of(w.item)
+		writesBy[s] = append(writesBy[s], w)
 	}
 	c.cl.net.send(c.id, ids.Coordinator, commitReqMsg{
 		txn: t.id, client: c.id, shards: t.touched, rec: rec, writesBy: writesBy,
@@ -460,19 +461,12 @@ func (c *client) commitSharded(t *liveTxn) {
 
 // onOutcome finishes a sharded transaction on the coordinator's reply.
 func (c *client) onOutcome(m outcomeMsg, arm func(time.Duration, func())) {
-	t := c.txnByID(m.txn, false)
-	if t == nil || t.done {
+	t := c.running(m.txn)
+	if t == nil {
 		return
 	}
 	if m.commit {
-		t.done = true
-		c.cl.commits.Add(1)
-		resp := time.Since(t.start)
-		c.cl.resp.Add(int64(resp))
-		c.respSamp.Add(float64(resp))
-		c.committed++
-		c.carryTs = 0
-		c.cur = nil
+		c.committed(t)
 		c.beginNext(arm)
 		return
 	}
@@ -480,26 +474,7 @@ func (c *client) onOutcome(m outcomeMsg, arm func(time.Duration, func())) {
 	// flight and the coordinator killed the round. The victim notice
 	// normally unwinds the transaction first (per-link FIFO delivers it
 	// ahead of this reply); unwind here only if it somehow has not.
-	c.abortSharded(t, arm)
-}
-
-// abortSharded unwinds a dead sharded transaction: aborted releases to
-// every touched shard free its locks and queue entries, and the
-// abort-done ack lets the coordinator clear its victim mark.
-func (c *client) abortSharded(t *liveTxn, arm func(time.Duration, func())) {
-	t.aborted = true
-	t.done = true
-	c.carryTs = t.ts
-	c.cl.audit.abort()
-	c.cl.aborts.Add(1)
-	for _, s := range t.touched {
-		c.cl.net.send(c.id, ids.ShardSite(s), releaseMsg{txn: t.id, aborted: true})
-	}
-	c.cl.net.send(c.id, ids.Coordinator, abortDoneMsg{txn: t.id})
-	if c.cur == t {
-		c.cur = nil
-		c.beginNext(arm)
-	}
+	c.aborted(t, arm)
 }
 
 // onRestart handles a shard site's crash-restart announcement. A current
@@ -512,7 +487,7 @@ func (c *client) abortSharded(t *liveTxn, arm func(time.Duration, func())) {
 // transactions are left to 2PC (see liveTxn.committing).
 func (c *client) onRestart(m restartMsg, arm func(time.Duration, func())) {
 	t := c.cur
-	if t == nil || t.done || t.committing {
+	if t == nil || t.committing {
 		return
 	}
 	touched := false
@@ -526,7 +501,7 @@ func (c *client) onRestart(m restartMsg, arm func(time.Duration, func())) {
 		return
 	}
 	c.cl.restartAborts.Add(1)
-	c.abortSharded(t, arm)
+	c.aborted(t, arm)
 }
 
 // onCoordRestart handles the coordinator's crash-restart announcement: a
@@ -537,178 +512,34 @@ func (c *client) onRestart(m restartMsg, arm func(time.Duration, func())) {
 // restarted coordinator's done tombstone filters the duplicate and the
 // original outcome reply — already on the wire — resolves the wait.
 func (c *client) onCoordRestart() {
-	t := c.cur
-	if t == nil || t.done || !t.committing {
-		return
+	if t := c.cur; t != nil && t.committing {
+		c.commitSharded(t)
 	}
-	c.commitSharded(t)
 }
 
 // onAbort handles a deadlock-victim notice.
 func (c *client) onAbort(txn ids.Txn, arm func(time.Duration, func())) {
-	if c.cl.sharded() {
-		t := c.txnByID(txn, false)
-		if t == nil || t.done {
-			// The transaction already finished here (e.g. a stale blocked
-			// report got a committed transaction victimed); ack anyway so
-			// the coordinator clears its victim mark.
-			c.cl.net.send(c.id, ids.Coordinator, abortDoneMsg{txn: txn})
-			return
-		}
-		c.abortSharded(t, arm)
-		return
+	if t := c.running(txn); t != nil {
+		c.aborted(t, arm)
+	} else if c.cl.sharded() {
+		// The transaction already finished here (e.g. a stale blocked
+		// report got a committed transaction victimed); ack anyway so
+		// the coordinator clears its victim mark.
+		c.cl.net.send(c.id, ids.Coordinator, abortDoneMsg{txn: txn})
 	}
-	t := c.txnByID(txn, false)
-	if t == nil || t.done || t.aborted {
-		return
-	}
-	t.aborted = true
-	t.done = true
-	c.carryTs = t.ts
-	c.cl.audit.abort()
-	c.cl.aborts.Add(1)
-	switch c.cl.cfg.Protocol {
-	case S2PL:
-		// The victim's release travels back before the server frees its
-		// locks (abort round trip).
-		c.cl.net.send(c.id, ids.Server, releaseMsg{txn: t.id, aborted: true})
-	case C2PL:
-		// The aborted work never used its recalled items durably: the
-		// deferred releases ride on the finish message, and the cached
-		// locks themselves stay — they belong to the site.
-		released := c.cache.Finish(t.id, nil)
-		c.cl.net.send(c.id, ids.Server, finishMsg{txn: t.id, client: c.id, released: released})
-	case G2PL:
-		c.forwardAll(t)
-		c.residual[t.id] = t
-		c.gcResidual(t)
-	default:
-		panic(fmt.Sprintf("live: client running unknown protocol %v", c.cl.cfg.Protocol))
-	}
-	if c.cur == t {
-		c.cur = nil
-		c.beginNext(arm)
-	}
-}
-
-// forwardAll releases or forwards every held item of a finished g-2PL
-// transaction whose gates are clear.
-func (c *client) forwardAll(t *liveTxn) {
-	for i := range t.held {
-		h := &t.held[i]
-		if h.write && t.relGot[h.item] < c.needFor(h.plan, t.id) {
-			continue // aborted writer still gathering releases
-		}
-		c.finishItem(t, h)
-	}
-}
-
-// finishItem ends t's involvement with one held item, routing per the
-// flight plan.
-func (c *client) finishItem(t *liveTxn, h *heldItem) {
-	if h.plan == nil || h.forwarded {
-		return
-	}
-	h.forwarded = true
-	plan := h.plan
-	j := plan.SegOf(t.id)
-	c.cl.net.send(c.id, ids.Server, doneMsg{txn: t.id, item: h.item})
-	if !h.write {
-		cli, txn := plan.ReleaseTarget(j)
-		c.cl.net.send(c.id, cli, fwdMsg{
-			item: h.item, from: t.id, to: txn,
-			version: h.version, value: h.value,
-			release: true, plan: plan,
-		})
-		return
-	}
-	ver, val := h.version, h.value
-	if !t.aborted {
-		ver, val = t.id, int64(t.id)
-	}
-	home := fwdMsg{item: h.item, from: t.id, version: ver, value: val, plan: plan}
-	if plan.IsFinal(j) {
-		c.cl.net.send(c.id, ids.Server, home)
-		return
-	}
-	// The writer dispatches the next segment: its readers, then their MR1W
-	// companion writer, then — from a final read group — the data's own
-	// return home.
-	for _, e := range plan.Recipients(j + 1) {
-		c.cl.net.send(c.id, e.Client, dataMsg{txn: e.Txn, item: h.item, version: ver, value: val, plan: plan})
-	}
-	if plan.HomeReturnOnDispatch(j + 1) {
-		c.cl.net.send(c.id, ids.Server, home)
-	}
-}
-
-// gcResidual drops a finished transaction once nothing further can arrive
-// for it: every held item forwarded and every tracked release count
-// complete.
-func (c *client) gcResidual(t *liveTxn) {
-	if !t.done {
-		return
-	}
-	if t.gates > 0 {
-		return
-	}
-	for i := range t.held {
-		if !t.held[i].forwarded {
-			return
-		}
-	}
-	for item, need := range t.relNeed {
-		if t.relGot[item] < need {
-			return
-		}
-	}
-	delete(c.residual, t.id)
 }
 
 // ---- c-2PL ----
-
-// stepC2PL performs the current operation: a sufficient cached lock is a
-// local hit (no network at all — the whole point of c-2PL); otherwise the
-// request travels to the server.
-func (c *client) stepC2PL(arm func(time.Duration, func())) {
-	t := c.cur
-	op := t.op()
-	if ver, _, ok := c.cache.Hit(op.Item, op.Write); ok {
-		c.c2plGranted(t, op, ver, arm)
-		return
-	}
-	c.sendRequest()
-}
-
-// c2plGranted finishes one operation (cache hit or server grant): record
-// the access, think, proceed.
-func (c *client) c2plGranted(t *liveTxn, op workload.Op, ver ids.Txn, arm func(time.Duration, func())) {
-	if !op.Write {
-		t.reads = append(t.reads, history.Read{Item: op.Item, Version: ver})
-	}
-	think := time.Duration(c.gen.Think()) * tick
-	if t.opIdx+1 < len(t.profile.Ops) {
-		arm(think, func() {
-			t.opIdx++
-			c.stepC2PL(arm)
-		})
-		return
-	}
-	arm(think, func() { c.commitC2PL(t, arm) })
-}
 
 // onGrant installs a c-2PL server grant in the cache and resumes the
 // transaction (unless it aborted while the grant was in flight — the
 // client keeps the cached lock, locks belong to sites).
 func (c *client) onGrant(m grantMsg, arm func(time.Duration, func())) {
-	live := c.cur != nil && c.cur.id == m.txn
-	ver, _ := c.cache.Install(m.item, m.mode, m.version, m.value, live)
-	if !live {
-		return
+	t := c.running(m.txn)
+	ver, _ := c.cache.Install(m.item, m.mode, m.version, m.value, t != nil)
+	if t != nil {
+		c.granted(t, m.item, ver, arm)
 	}
-	t := c.cur
-	c.noteWait(t)
-	c.c2plGranted(t, t.op(), ver, arm)
 }
 
 // onRecall answers a server callback: defer when the running transaction
@@ -719,35 +550,4 @@ func (c *client) onRecall(m recallMsg) {
 		return
 	}
 	c.cl.net.send(c.id, ids.Server, crelMsg{client: c.id, item: m.item})
-}
-
-// commitC2PL finishes the current c-2PL transaction: updates and deferred
-// releases travel to the server in one message; write locks and new
-// versions stay cached.
-func (c *client) commitC2PL(t *liveTxn, arm func(time.Duration, func())) {
-	if t.done || t.aborted {
-		return
-	}
-	t.done = true
-	rec := history.Committed{Txn: t.id, Reads: t.reads}
-	var writeItems []ids.Item
-	var writes []writeUpdate
-	for _, op := range t.profile.Ops {
-		if op.Write {
-			rec.Writes = append(rec.Writes, op.Item)
-			writeItems = append(writeItems, op.Item)
-			writes = append(writes, writeUpdate{item: op.Item, value: int64(t.id)})
-		}
-	}
-	c.cl.audit.commit(rec)
-	c.cl.commits.Add(1)
-	resp := time.Since(t.start)
-	c.cl.resp.Add(int64(resp))
-	c.respSamp.Add(float64(resp))
-	c.committed++
-	c.carryTs = 0
-	c.cur = nil
-	released := c.cache.Finish(t.id, writeItems)
-	c.cl.net.send(c.id, ids.Server, finishMsg{txn: t.id, client: c.id, writes: writes, released: released})
-	c.beginNext(arm)
 }

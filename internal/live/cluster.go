@@ -219,7 +219,7 @@ func (cl *cluster) run() (*Result, error) {
 			for _, c := range cl.clients {
 				t := c.cur
 				if t == nil {
-					fmt.Printf("STALL client %v: cur=nil committed=%d\n", c.id, c.committed)
+					fmt.Printf("STALL client %v: cur=nil committed=%d\n", c.id, c.ncommit)
 					continue
 				}
 				done := false
@@ -227,7 +227,7 @@ func (cl *cluster) run() (*Result, error) {
 					done = cl.coord.coord.Done(t.id)
 				}
 				fmt.Printf("STALL client %v: committed=%d txn=%d ts=%d op=%d/%d committing=%v held=%d touched=%v coordDone=%v\n",
-					c.id, c.committed, t.id, t.ts, t.opIdx, len(t.profile.Ops), t.committing, len(t.held), t.touched, done)
+					c.id, c.ncommit, t.id, t.ts, t.opIdx, len(t.profile.Ops), t.committing, t.g.HeldCount(), t.touched, done)
 			}
 			if cl.coord != nil {
 				fmt.Printf("STALL coord quiet=%v crashes=%d pending=%d logged=%d\n",

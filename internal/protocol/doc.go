@@ -22,9 +22,14 @@
 //     return counting — over a Dispatcher (wait-for and precedence
 //     graphs, window ordering), FlightPlan (per-flight routing) and
 //     Flight (member completion). Drivers own when a ready window
-//     dispatches, the store and the clients' side of the migration. The
-//     DES reports a commit with Finish; the live server gets no commit
-//     message, so there a transaction retires with its last done report.
+//     dispatches and the store. The DES reports a commit with Finish; the
+//     live server gets no commit message, so there a transaction retires
+//     with its last done report.
+//   - GroupClient owns the clients' side of g-2PL, one value per
+//     transaction: the items delivered to it, the reader releases gathered
+//     for it, the MR1W commit gate, and where each item goes when the
+//     transaction ends (paper §3.2, §3.4). Drivers own the messages, the
+//     transaction's lifecycle and when to forget it (Settled).
 //   - CacheServer owns the c-2PL ownership table, queues, recall and
 //     deferral bookkeeping plus its wait-for graph; CacheClient owns the
 //     client lock/data cache, in-use marks and deferred recalls. Drivers

@@ -6,32 +6,37 @@ import (
 	"repro/internal/ids"
 )
 
-// The GroupServer fuzz harness is a small g-2PL cluster with honest
-// clients: four of them run three scripted transactions each over three
-// items, with reads and writes colliding in opposite orders so enqueue-time
-// cycles, dispatch-time cycles, wounds and dies all occur. The clients
-// follow the flight plans (read groups release to the next writer, MR1W
-// writers wait for those releases, a dead transaction passes data straight
-// on); client-to-client hand-offs are instantaneous, but everything bound
-// for the server travels a per-client FIFO queue and everything the server
-// sends travels a per-client FIFO inbox, which is the only ordering the
-// live transport gives. Fuzz bytes pick which client acts, which queue
-// delivers and when a ready window dispatches, so done reports overtake
-// and trail returns, requests cross abort notices on the wire, and windows
-// fill up before they close.
+// The g-2PL fuzz harness is a small cluster of the two cores: a GroupServer
+// and, for every transaction, its GroupClient. Four clients run three
+// scripted transactions each over three items, with reads and writes
+// colliding in opposite orders so enqueue-time cycles, dispatch-time cycles,
+// wounds and dies all occur. Everything bound for the server travels a
+// per-client FIFO queue and everything the server sends travels a per-client
+// FIFO inbox, which is the only ordering the live transport gives. Under
+// FuzzGroupServer client-to-client hand-offs are instantaneous; under
+// FuzzGroupClient they queue on per-link FIFOs too, so a writer's releases
+// can complete before its MR1W copy arrives. Fuzz bytes pick which client
+// acts, which queue delivers and when a ready window dispatches, so done
+// reports overtake and trail returns, requests cross abort notices on the
+// wire, and windows fill up before they close. A client forgets a
+// transaction once it has settled and meets later data for it with a stub,
+// as both drivers do.
 //
 // The first byte picks the configuration: deadlock policy, victim rule,
-// whether the driver is omniscient (done and finish reports are immediate
-// and the victim rule sees held counts — the engine) or not (done reports
-// queue, finish never comes — the live server), MR1W, read expansion and
-// the forward-list cap.
+// whether the driver is omniscient (done and finish reports are immediate,
+// the victim rule sees held counts and a victim stops the instant the
+// server decides — the engine) or not (done reports queue, finish never
+// comes — the live server), MR1W, read expansion and the forward-list cap.
 //
 // After every server event the wait-for graph must be acyclic (edges out
 // of a dead transaction's late request aside: it passes data on without
 // waiting for anything), a transaction aborted at a block point must have
 // left its window, and the core's per-transaction bookkeeping must agree
-// with its windows and flights. At quiescence nothing may be left: no wait
-// edge, no precedence node, no transaction record.
+// with its windows and flights. No member may report an item done twice
+// and no flight may send its data home twice. At quiescence nothing may be
+// left: no wait edge, no precedence node, no transaction record at the
+// server, no unsettled transaction at a client; every dispatched flight
+// with a writer has come home once and every member has reported done.
 
 const gfzItems = 3
 
@@ -69,17 +74,15 @@ type gfzTxn struct {
 	ops     []gfzOp
 	next    int  // ops[next] is the operation in progress
 	waiting bool // its request is out
+	doomed  bool // the omniscient driver stopped it at the server's decision
 	dead    bool // abort notice received, or committed
-	held    []ids.Item
+	g       GroupClient
 }
 
-// gfzFlight is the clients' shared view of one item's flight.
-type gfzFlight struct {
-	plan   *FlightPlan
-	relGot map[ids.Txn]int  // reader releases received per writer
-	has    map[ids.Txn]bool // data delivered
-	gated  map[ids.Txn]bool // finished writer waiting for releases
-	done   map[ids.Txn]bool
+// gfzPart names one member's part in one flight.
+type gfzPart struct {
+	plan *FlightPlan
+	txn  ids.Txn
 }
 
 type gfzHarness struct {
@@ -88,16 +91,22 @@ type gfzHarness struct {
 	omniscient bool
 	expand     bool
 	nextID     ids.Txn
-	txns       map[ids.Txn]*gfzTxn
-	cur        []*gfzTxn // per client; nil when its script is exhausted
-	script     []int     // per client: next script index
+	txns       map[ids.Txn]*gfzTxn // unsettled transactions
+	cur        []*gfzTxn           // per client; nil when its script is exhausted
+	script     []int               // per client: next script index
 	toServer   [][]gfzMsg
 	inbox      [][]GroupAction
 	ready      []ids.Item
-	flights    map[ids.Item]*gfzFlight
+	// links[src][dst] queues client-to-client hand-offs; nil delivers them
+	// at once.
+	links  [][][]ClientAction
+	plans  []*FlightPlan // every flight dispatched
+	homes  map[*FlightPlan]int
+	dones  map[gfzPart]bool
+	joined map[gfzPart]bool // read-expansion extras
 }
 
-func newGfzHarness(t *testing.T, mode byte) *gfzHarness {
+func newGfzHarness(t *testing.T, mode byte, linked bool) *gfzHarness {
 	h := &gfzHarness{
 		t:          t,
 		omniscient: mode&0x08 != 0,
@@ -108,7 +117,15 @@ func newGfzHarness(t *testing.T, mode byte) *gfzHarness {
 		script:     make([]int, len(gfzScripts)),
 		toServer:   make([][]gfzMsg, len(gfzScripts)),
 		inbox:      make([][]GroupAction, len(gfzScripts)),
-		flights:    make(map[ids.Item]*gfzFlight),
+		homes:      make(map[*FlightPlan]int),
+		dones:      make(map[gfzPart]bool),
+		joined:     make(map[gfzPart]bool),
+	}
+	if linked {
+		h.links = make([][][]ClientAction, len(gfzScripts))
+		for c := range h.links {
+			h.links[c] = make([][]ClientAction, len(gfzScripts))
+		}
 	}
 	policy := DeadlockPolicies()[int(mode&0x03)]
 	victim := VictimRequester
@@ -118,8 +135,10 @@ func newGfzHarness(t *testing.T, mode byte) *gfzHarness {
 	var info VictimInfo
 	if h.omniscient {
 		info = func(id ids.Txn) (bool, int) {
-			x := h.txns[id]
-			return x != nil && !x.dead, len(x.held)
+			if x := h.txns[id]; x != nil && !x.dead && !x.doomed {
+				return true, x.g.HeldCount()
+			}
+			return false, 0
 		}
 	}
 	opts := WindowOptions{MR1W: mode&0x10 != 0, MaxForwardList: int(mode >> 6)}
@@ -136,7 +155,7 @@ func (h *gfzHarness) begin(c int) {
 	if h.script[c] == len(gfzScripts[c]) {
 		return
 	}
-	x := &gfzTxn{id: h.nextID, client: c, ops: gfzScripts[c][h.script[c]]}
+	x := &gfzTxn{id: h.nextID, client: c, ops: gfzScripts[c][h.script[c]], g: GroupClient{Txn: h.nextID}}
 	h.nextID++
 	h.script[c]++
 	h.txns[x.id] = x
@@ -145,25 +164,36 @@ func (h *gfzHarness) begin(c int) {
 
 func (h *gfzHarness) send(c int, m gfzMsg) { h.toServer[c] = append(h.toServer[c], m) }
 
+// member finds the transaction a message at client c names, or stands in
+// a stub for one the client has forgotten.
+func (h *gfzHarness) member(id ids.Txn, c int) *gfzTxn {
+	x := h.txns[id]
+	if x == nil {
+		x = &gfzTxn{id: id, client: c, dead: true, g: GroupClient{Txn: id}}
+		x.g.Abort(nil)
+	}
+	return x
+}
+
 // step lets client c act once: take one message from its inbox, else
 // issue its next request, else commit.
 func (h *gfzHarness) step(c int) bool {
 	if len(h.inbox[c]) > 0 {
 		a := h.inbox[c][0]
 		h.inbox[c] = h.inbox[c][1:]
-		x := h.txns[a.Txn]
 		switch a.Kind {
 		case GroupData:
-			h.deliver(x, a.Item)
+			x := h.member(a.Txn, c)
+			h.apply(x, x.g.Data(GroupCopy{Plan: a.Plan}, nil))
 		case GroupAbort:
-			if !x.dead {
-				h.finish(x)
+			if x := h.txns[a.Txn]; x != nil && !x.dead {
+				h.finish(x, x.g.Abort(nil))
 			}
 		}
 		return true
 	}
 	x := h.cur[c]
-	if x == nil || x.waiting {
+	if x == nil || x.waiting || x.doomed {
 		return false
 	}
 	if x.next < len(x.ops) {
@@ -176,93 +206,84 @@ func (h *gfzHarness) step(c int) bool {
 		h.g.Finish(x.id)
 		h.check("finish")
 	}
-	h.finish(x)
+	h.finish(x, x.g.Commit(nil))
 	return true
 }
 
-// finish ends x at its client (commit or abort notice): every held item
-// moves on, and the client turns to its next transaction.
-func (h *gfzHarness) finish(x *gfzTxn) {
+// finish ends x at its client (commit or abort notice) with what its core
+// lets go of, and turns the client to its next transaction.
+func (h *gfzHarness) finish(x *gfzTxn, acts []ClientAction) {
 	x.dead = true
-	for _, item := range x.held {
-		h.forward(x, item)
-	}
+	h.apply(x, acts)
 	if h.cur[x.client] == x {
 		h.begin(x.client)
 	}
 }
 
-// deliver hands item to x. A live transaction waiting for it proceeds; a
-// dead one passes it on at once.
-func (h *gfzHarness) deliver(x *gfzTxn, item ids.Item) {
-	f := h.flights[item]
-	if f.has[x.id] {
-		return // basic mode: the last release already carried the data
+// apply carries out x's client actions, then forgets x if it has settled.
+func (h *gfzHarness) apply(x *gfzTxn, acts []ClientAction) {
+	for _, a := range acts {
+		plan, item := a.Plan, a.Plan.Item
+		switch a.Kind {
+		case ClientGranted:
+			if x.dead || !x.waiting || x.ops[x.next].item != item {
+				h.t.Fatalf("%v granted %v out of turn", x.id, item)
+			}
+			x.waiting = false
+			x.next++
+		case ClientDone:
+			if h.dones[gfzPart{plan, x.id}] {
+				h.t.Fatalf("%v reported %v done twice", x.id, item)
+			}
+			h.dones[gfzPart{plan, x.id}] = true
+			if h.omniscient {
+				h.g.Done(item, x.id)
+				h.check("done")
+			} else {
+				h.send(x.client, gfzMsg{kind: gfzDone, item: item, txn: x.id})
+			}
+		case ClientHome:
+			if h.homes[plan]++; h.homes[plan] > 1 {
+				h.t.Fatalf("%v sent home twice", item)
+			}
+			h.send(x.client, gfzMsg{kind: gfzReturn, item: item})
+		case ClientRelease, ClientData:
+			switch {
+			case a.To == ids.None:
+				h.send(x.client, gfzMsg{kind: gfzReturn, item: item})
+			case h.links != nil:
+				h.links[x.client][int(a.Client)] = append(h.links[x.client][int(a.Client)], a)
+			default:
+				h.receive(a)
+			}
+		}
 	}
-	f.has[x.id] = true
-	if !x.dead && x.waiting && x.ops[x.next].item == item {
-		x.waiting = false
-		x.next++
-		x.held = append(x.held, item)
-		return
+	if x.g.Settled() {
+		delete(h.txns, x.id)
+	} else {
+		h.txns[x.id] = x
 	}
-	h.forward(x, item)
 }
 
-// forward ends x's part in item's flight, following the plan.
-func (h *gfzHarness) forward(x *gfzTxn, item ids.Item) {
-	f := h.flights[item]
-	plan := f.plan
-	if f.done[x.id] {
-		return
-	}
-	e, onList := plan.EntryOf(x.id)
-	if onList && e.Write {
-		if f.relGot[x.id] < plan.RelWaitFor(plan.SegOf(x.id)) {
-			f.gated[x.id] = true
-			return
-		}
-	}
-	f.done[x.id] = true
-	if h.omniscient {
-		h.g.Done(item, x.id)
-		h.check("done")
+// receive delivers one client-to-client hand-off.
+func (h *gfzHarness) receive(a ClientAction) {
+	x := h.member(a.To, int(a.Client))
+	if a.Kind == ClientData {
+		h.apply(x, x.g.Data(a.GroupCopy, nil))
 	} else {
-		h.send(x.client, gfzMsg{kind: gfzDone, item: item, txn: x.id})
+		h.apply(x, x.g.Release(a.GroupCopy, nil))
 	}
-	home := gfzMsg{kind: gfzReturn, item: item}
-	if !onList { // a read-expansion extra
-		h.send(x.client, home)
-		return
+}
+
+// link delivers the head of the hand-off queue from client src to dst.
+func (h *gfzHarness) link(src, dst int) bool {
+	q := h.links[src][dst]
+	if len(q) == 0 {
+		return false
 	}
-	j := plan.SegOf(x.id)
-	if !e.Write {
-		_, w := plan.ReleaseTarget(j)
-		if w == ids.None {
-			h.send(x.client, home)
-			return
-		}
-		f.relGot[w]++
-		if f.relGot[w] < plan.RelWaitFor(j+1) {
-			return
-		}
-		if !plan.MR1W {
-			h.deliver(h.txns[w], item) // the last release carries the data
-		} else if f.gated[w] {
-			h.forward(h.txns[w], item)
-		}
-		return
-	}
-	if plan.IsFinal(j) {
-		h.send(x.client, home)
-		return
-	}
-	for _, r := range plan.Recipients(j + 1) {
-		h.deliver(h.txns[r.Txn], item)
-	}
-	if plan.HomeReturnOnDispatch(j + 1) {
-		h.send(x.client, home)
-	}
+	h.links[src][dst] = q[1:]
+	h.receive(q[0])
+	return true
 }
 
 // route files the server's decisions: data and notices into inboxes, ready
@@ -282,6 +303,10 @@ func (h *gfzHarness) route(acts []GroupAction) {
 					}
 				}
 			}
+			if x := h.txns[a.Txn]; h.omniscient && x != nil {
+				x.doomed = true
+				x.g.Doom()
+			}
 			h.inbox[int(a.Client)] = append(h.inbox[int(a.Client)], a)
 		case GroupData:
 			h.inbox[int(a.Client)] = append(h.inbox[int(a.Client)], a)
@@ -300,6 +325,7 @@ func (h *gfzHarness) serve(c int) bool {
 	case gfzReq:
 		if h.expand {
 			if acts, ok := h.g.Expand(m.req); ok {
+				h.joined[gfzPart{acts[len(acts)-1].Plan, m.req.Txn}] = true
 				h.route(acts)
 				h.check("expand")
 				return true
@@ -326,13 +352,7 @@ func (h *gfzHarness) dispatch() bool {
 	h.ready = h.ready[1:]
 	plan, acts := h.g.Dispatch(item)
 	if plan != nil {
-		h.flights[item] = &gfzFlight{
-			plan:   plan,
-			relGot: make(map[ids.Txn]int),
-			has:    make(map[ids.Txn]bool),
-			gated:  make(map[ids.Txn]bool),
-			done:   make(map[ids.Txn]bool),
-		}
+		h.plans = append(h.plans, plan)
 	}
 	h.route(acts)
 	h.check("dispatch")
@@ -411,58 +431,115 @@ func (h *gfzHarness) liveCycle() []ids.Txn {
 	return nil
 }
 
-func FuzzGroupServer(f *testing.F) {
+// gfzRun plays one fuzz input: the schedule the bytes pick, then a
+// deterministic drain, then the quiescence checks.
+func gfzRun(t *testing.T, data []byte, linked bool) {
+	var mode byte
+	if len(data) > 0 {
+		mode, data = data[0], data[1:]
+	}
+	h := newGfzHarness(t, mode, linked)
+	n := len(gfzScripts)
+	choices := 2*n + 1
+	if linked {
+		choices += n * n
+	}
+	act := func(b int) bool {
+		switch {
+		case b < n:
+			return h.step(b)
+		case b < 2*n:
+			return h.serve(b - n)
+		case b == 2*n:
+			return h.dispatch()
+		default:
+			return h.link((b-2*n-1)/n, (b-2*n-1)%n)
+		}
+	}
+	for _, b := range data {
+		act(int(b) % choices)
+	}
+	// Deterministic drain: sweep every source until none has anything
+	// left. Every sweep that does something consumes a message or
+	// advances a script, so the sweeps are bounded.
+	for sweep := 0; ; sweep++ {
+		if sweep > 10000 {
+			t.Fatalf("cluster did not drain")
+		}
+		progress := false
+		for b := 0; b < choices; b++ {
+			progress = act(b) || progress
+		}
+		if !progress {
+			break
+		}
+	}
+	for c, x := range h.cur {
+		if x != nil {
+			t.Fatalf("client %d stuck in %v at op %d (waiting=%v)", c, x.id, x.next, x.waiting)
+		}
+	}
+	if w, o, n := h.g.Footprint(); w != 0 || o != 0 || n != 0 || !h.g.Quiet() {
+		t.Fatalf("at quiescence: %d wait edges, %d precedence nodes, %d transactions, quiet=%v", w, o, n, h.g.Quiet())
+	}
+	for id := range h.txns {
+		t.Fatalf("at quiescence: %v has not settled at its client", id)
+	}
+	for _, plan := range h.plans {
+		want := 0
+		if plan.List.NumSegments() > 1 || plan.List.Segment(0).Write {
+			want = 1
+		}
+		if h.homes[plan] != want {
+			t.Fatalf("flight %v of %v came home %d times, want %d", plan.List, plan.Item, h.homes[plan], want)
+		}
+		for _, m := range plan.List.Txns() {
+			if !h.dones[gfzPart{plan, m}] {
+				t.Fatalf("flight %v of %v: %v never reported done", plan.List, plan.Item, m)
+			}
+		}
+	}
+	for k := range h.joined {
+		if !h.dones[k] {
+			t.Fatalf("flight %v of %v: extra %v never reported done", k.plan.List, k.plan.Item, k.txn)
+		}
+	}
+}
+
+// gfzSeeds adds, for a spread of configurations, the same schedules:
+// round-robin, clients racing ahead of the server, and the server racing
+// ahead with windows held back.
+func gfzSeeds(f *testing.F) {
 	f.Add([]byte{})
 	for mode := 0; mode < 256; mode += 7 {
-		// The same schedules under a spread of configurations: round-robin,
-		// clients racing ahead of the server, and the server racing ahead
-		// with windows held back.
 		f.Add([]byte{byte(mode), 0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 1, 2, 3, 4, 5, 6, 7, 8})
 		f.Add([]byte{byte(mode), 0, 1, 2, 3, 0, 1, 2, 3, 4, 5, 6, 7, 4, 5, 6, 7, 8, 8, 0, 0, 1, 1, 2, 2, 3, 3, 8, 4, 5, 6, 7})
 		f.Add([]byte{byte(mode), 0, 4, 1, 5, 2, 6, 3, 7, 8, 0, 4, 8, 1, 5, 8, 2, 6, 8, 3, 7, 8, 0, 0, 0, 4, 4, 4, 8, 1, 5, 2, 6})
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var mode byte
-		if len(data) > 0 {
-			mode, data = data[0], data[1:]
-		}
-		h := newGfzHarness(t, mode)
-		n := len(gfzScripts)
-		act := func(b int) bool {
-			switch {
-			case b < n:
-				return h.step(b)
-			case b < 2*n:
-				return h.serve(b - n)
-			default:
-				return h.dispatch()
+}
+
+func FuzzGroupServer(f *testing.F) {
+	gfzSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) { gfzRun(t, data, false) })
+}
+
+// FuzzGroupClient runs the same cluster with client-to-client hand-offs on
+// per-link queues: the seeds above never deliver one before the drain, so
+// every hand-off trails whatever the server sent meanwhile; two more per
+// configuration deliver reader releases (links into each client, lowest
+// source first) ahead of the server's inboxes, and the reverse.
+func FuzzGroupClient(f *testing.F) {
+	gfzSeeds(f)
+	for mode := 0; mode < 256; mode += 7 {
+		fwd, rev := []byte{byte(mode)}, []byte{byte(mode)}
+		for round := 0; round < 6; round++ {
+			for b := 0; b < 25; b++ {
+				fwd = append(fwd, byte((b+9)%25))
+				rev = append(rev, byte(24-b))
 			}
 		}
-		for _, b := range data {
-			act(int(b) % (2*n + 1))
-		}
-		// Deterministic drain: sweep every source until none has anything
-		// left. Every sweep that does something consumes a message or
-		// advances a script, so the sweeps are bounded.
-		for sweep := 0; ; sweep++ {
-			if sweep > 10000 {
-				t.Fatalf("cluster did not drain")
-			}
-			progress := false
-			for b := 0; b <= 2*n; b++ {
-				progress = act(b) || progress
-			}
-			if !progress {
-				break
-			}
-		}
-		for c, x := range h.cur {
-			if x != nil {
-				t.Fatalf("client %d stuck in %v at op %d (waiting=%v)", c, x.id, x.next, x.waiting)
-			}
-		}
-		if w, o, n := h.g.Footprint(); w != 0 || o != 0 || n != 0 || !h.g.Quiet() {
-			t.Fatalf("at quiescence: %d wait edges, %d precedence nodes, %d transactions, quiet=%v", w, o, n, h.g.Quiet())
-		}
-	})
+		f.Add(fwd)
+		f.Add(rev)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { gfzRun(t, data, true) })
 }

@@ -11,8 +11,10 @@ import (
 // goes afterwards. A copy travels with every data message of the flight
 // (the paper's "a copy of the forward list is also sent with each data
 // item"), so both the server and each client derive routing entirely
-// locally — and both drivers consult the same rules here, so the MR1W
-// delivery and release logic exists in exactly one place.
+// locally. The rules below have two callers, both in this package:
+// GroupServer dispatches the first segment, GroupClient routes everything
+// after it — so the MR1W delivery and release logic exists in exactly one
+// place, whichever driver carries the messages.
 type FlightPlan struct {
 	// Item is the data item this flight migrates.
 	Item ids.Item
@@ -27,9 +29,6 @@ type FlightPlan struct {
 // SegOf returns the segment index of txn, or -1 when it is not on the
 // list (for instance a read-expansion extra).
 func (p *FlightPlan) SegOf(txn ids.Txn) int { return p.List.SegmentOf(txn) }
-
-// EntryOf returns txn's forward-list entry.
-func (p *FlightPlan) EntryOf(txn ids.Txn) (fwdlist.Entry, bool) { return p.List.EntryOf(txn) }
 
 // IsFinal reports whether j is the last segment.
 func (p *FlightPlan) IsFinal(j int) bool { return j == p.List.NumSegments()-1 }

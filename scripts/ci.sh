@@ -76,4 +76,8 @@ go test ./internal/prec -run '^$' -fuzz FuzzPrecAcyclic -fuzztime 10s
 echo "== fuzz: 2PC coordinator/participant atomicity (10s) =="
 go test ./internal/protocol -run '^$' -fuzz FuzzCoordinator2PC -fuzztime 10s
 
+echo "== fuzz: g-2PL server and client cores, one cluster (10s each) =="
+go test ./internal/protocol -run '^$' -fuzz FuzzGroupServer -fuzztime 10s
+go test ./internal/protocol -run '^$' -fuzz FuzzGroupClient -fuzztime 10s
+
 echo "CI gate passed."
