@@ -34,7 +34,8 @@ func (e Entry) String() string {
 	return fmt.Sprintf("%v@%v:%s", e.Txn, e.Client, m)
 }
 
-// Segment is a maximal run of readers, or a single writer.
+// Segment is a maximal run of readers, or a single writer. Entries is a
+// window onto its List's storage: read it, do not change it.
 type Segment struct {
 	Write   bool
 	Entries []Entry
@@ -47,23 +48,31 @@ type Segment struct {
 type List struct {
 	segs    []Segment
 	entries []Entry
+	txns    []ids.Txn
 }
 
 // Build groups the ordered entries into segments. The order of entries is
 // the lock-granting order chosen by the server (FIFO or the deadlock-
 // avoidance reorder); Build preserves it exactly.
 func Build(entries []Entry) *List {
-	l := &List{entries: append([]Entry(nil), entries...)}
-	for _, e := range l.entries {
-		if e.Write {
-			l.segs = append(l.segs, Segment{Write: true, Entries: []Entry{e}})
-			continue
+	l := &List{entries: append([]Entry(nil), entries...), txns: make([]ids.Txn, len(entries))}
+	nsegs := 0
+	for i, e := range l.entries {
+		l.txns[i] = e.Txn
+		if e.Write || i == 0 || l.entries[i-1].Write {
+			nsegs++
 		}
-		if n := len(l.segs); n > 0 && !l.segs[n-1].Write {
-			l.segs[n-1].Entries = append(l.segs[n-1].Entries, e)
-			continue
+	}
+	// Each segment is a capacity-clipped window onto l.entries, so an
+	// append through one cannot reach its neighbour.
+	l.segs = make([]Segment, 0, nsegs)
+	for i := 0; i < len(l.entries); {
+		j := i + 1
+		for !l.entries[i].Write && j < len(l.entries) && !l.entries[j].Write {
+			j++
 		}
-		l.segs = append(l.segs, Segment{Entries: []Entry{e}})
+		l.segs = append(l.segs, Segment{Write: l.entries[i].Write, Entries: l.entries[i:j:j]})
+		i = j
 	}
 	return l
 }
@@ -80,14 +89,10 @@ func (l *List) Segment(i int) Segment { return l.segs[i] }
 // Entries returns a copy of the flat entry list in order.
 func (l *List) Entries() []Entry { return append([]Entry(nil), l.entries...) }
 
-// Txns returns the transactions on the list, in order.
-func (l *List) Txns() []ids.Txn {
-	out := make([]ids.Txn, len(l.entries))
-	for i, e := range l.entries {
-		out[i] = e.Txn
-	}
-	return out
-}
+// Txns returns the transactions on the list, in order. The slice is
+// computed once at Build and shared by every caller: read it, do not
+// change it.
+func (l *List) Txns() []ids.Txn { return l.txns }
 
 // SegmentOf returns the segment index containing txn, or -1.
 func (l *List) SegmentOf(txn ids.Txn) int {

@@ -156,3 +156,26 @@ func TestBuildProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSegmentsAreClippedWindows pins the storage Build promises: segments
+// are windows onto the one entries array, clipped so that an append
+// through one cannot reach its neighbour, and the whole list costs four
+// allocations however many segments it has.
+func TestSegmentsAreClippedWindows(t *testing.T) {
+	in := []Entry{entry(1, 1, false), entry(2, 2, false), entry(3, 3, true), entry(4, 4, false)}
+	l := Build(in)
+	group := l.Segment(0).Entries
+	if len(group) != 2 || cap(group) != 2 {
+		t.Fatalf("read group has len %d cap %d, want 2 and 2", len(group), cap(group))
+	}
+	_ = append(group, entry(9, 9, false))
+	if got := l.Segment(1).Entries[0]; got != in[2] {
+		t.Fatalf("append through the read group overwrote the writer: %v", got)
+	}
+	if err := l.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { Build(in) }); n > 4 {
+		t.Errorf("Build: %v allocs per run, want at most 4 (list, entries, transactions, segments)", n)
+	}
+}

@@ -10,6 +10,14 @@
 // always exists for requests inside one window; the residual deadlocks of
 // g-2PL come from waits that span windows and are handled by detection in
 // the engine.
+//
+// A transaction with a constraint is a node reached through one map
+// lookup per API call; adjacency is slices of node pointers (degrees are
+// bounded by the client count, so sets are scanned), nodes are recycled,
+// and reachability marks nodes with a generation stamp on a graph-owned
+// stack, so in steady state nothing here allocates except the order a
+// call returns. A Graph is not safe for concurrent use: the g-2PL server
+// core owns one and runs single-threaded behind its site.
 package prec
 
 import "repro/internal/ids"
@@ -18,16 +26,28 @@ import "repro/internal/ids"
 // An edge a -> b means a is granted items before b wherever both appear.
 // The zero value is not usable; call New.
 type Graph struct {
-	out map[ids.Txn]map[ids.Txn]bool
-	in  map[ids.Txn]map[ids.Txn]bool
+	nodes map[ids.Txn]*node // exactly the transactions with a constraint
+	free  []*node           // recycled nodes: no edges, stamp 0
+	gen   uint32            // stamp of the latest traversal; node.stamp == gen means reached
+	stack []*node           // the traversal's DFS stack
+
+	// order's scratch, reused by every call.
+	pend   []*node // pending[i]'s node, nil when unconstrained
+	adj    []int   // induced successors of every pending position, concatenated
+	adjEnd []int   // adj[adjEnd[i]:adjEnd[i+1]] are position i's
+	indeg  []int   // unmet induced predecessors; -1 once placed
+}
+
+// node is one transaction's adjacency: two sets, unordered.
+type node struct {
+	id      ids.Txn
+	out, in []*node
+	stamp   uint32
 }
 
 // New returns an empty precedence graph.
 func New() *Graph {
-	return &Graph{
-		out: make(map[ids.Txn]map[ids.Txn]bool),
-		in:  make(map[ids.Txn]map[ids.Txn]bool),
-	}
+	return &Graph{nodes: make(map[ids.Txn]*node)}
 }
 
 // Record stores the precedence implied by a dispatched forward-list order:
@@ -37,30 +57,10 @@ func New() *Graph {
 // the order from Order, which guarantees consistency.
 func (g *Graph) Record(order []ids.Txn) {
 	for i := 0; i+1 < len(order); i++ {
-		a, b := order[i], order[i+1]
-		if a == b {
-			continue
-		}
-		if g.Reaches(b, a) {
+		if !g.Constrain(order[i], order[i+1]) && order[i] != order[i+1] {
 			panic("prec: Record would create a cycle; order not obtained from Order?")
 		}
-		g.addEdge(a, b)
 	}
-}
-
-func (g *Graph) addEdge(a, b ids.Txn) {
-	s := g.out[a]
-	if s == nil {
-		s = make(map[ids.Txn]bool)
-		g.out[a] = s
-	}
-	s[b] = true
-	r := g.in[b]
-	if r == nil {
-		r = make(map[ids.Txn]bool)
-		g.in[b] = r
-	}
-	r[a] = true
 }
 
 // Constrain records that a must precede b wherever both appear — used for
@@ -72,58 +72,121 @@ func (g *Graph) addEdge(a, b ids.Txn) {
 // is already established — that situation is a genuine cross-window
 // deadlock, left to the wait-for-graph detector.
 func (g *Graph) Constrain(a, b ids.Txn) bool {
-	if a == b || g.Reaches(b, a) {
+	if a == b {
 		return false
 	}
-	g.addEdge(a, b)
+	na, nb := g.nodes[a], g.nodes[b]
+	if g.reaches(nb, na) {
+		return false
+	}
+	if na == nil {
+		na = g.node(a)
+	}
+	if nb == nil {
+		nb = g.node(b)
+	}
+	for _, m := range na.out {
+		if m == nb {
+			return true
+		}
+	}
+	na.out = append(na.out, nb)
+	nb.in = append(nb.in, na)
 	return true
+}
+
+// node files a node for t, which has none, taking it from the free list
+// when it can.
+func (g *Graph) node(t ids.Txn) *node {
+	var n *node
+	if last := len(g.free) - 1; last >= 0 {
+		n, g.free = g.free[last], g.free[:last]
+	} else {
+		n = new(node)
+	}
+	n.id = t
+	g.nodes[t] = n
+	return n
 }
 
 // Remove deletes a finished (committed or aborted) transaction and all its
 // constraints. Constraints through a finished transaction no longer bind:
 // its data hand-offs have already happened.
 func (g *Graph) Remove(t ids.Txn) {
-	//repolint:allow maprange -- commutative deletes, order-free
-	for b := range g.out[t] {
-		delete(g.in[b], t)
-		if len(g.in[b]) == 0 {
-			delete(g.in, b)
+	n := g.nodes[t]
+	if n == nil {
+		return
+	}
+	for _, m := range n.out {
+		m.in = drop(m.in, n)
+		g.retire(m)
+	}
+	for _, m := range n.in {
+		m.out = drop(m.out, n)
+		g.retire(m)
+	}
+	n.out, n.in = n.out[:0], n.in[:0]
+	g.retire(n)
+}
+
+// drop removes n from the set s.
+func drop(s []*node, n *node) []*node {
+	for i, m := range s {
+		if m == n {
+			last := len(s) - 1
+			s[i] = s[last]
+			return s[:last]
 		}
 	}
-	delete(g.out, t)
-	//repolint:allow maprange -- commutative deletes, order-free
-	for a := range g.in[t] {
-		delete(g.out[a], t)
-		if len(g.out[a]) == 0 {
-			delete(g.out, a)
-		}
+	return s
+}
+
+// retire recycles n once its last constraint is gone.
+func (g *Graph) retire(n *node) {
+	if len(n.out) == 0 && len(n.in) == 0 {
+		delete(g.nodes, n.id)
+		n.stamp = 0
+		g.free = append(g.free, n)
 	}
-	delete(g.in, t)
 }
 
 // Reaches reports whether b is reachable from a along precedence edges.
 func (g *Graph) Reaches(a, b ids.Txn) bool {
-	if a == b {
-		return false
+	return a != b && g.reaches(g.nodes[a], g.nodes[b])
+}
+
+// reaches is Reaches on nodes; a transaction without one has no edge.
+func (g *Graph) reaches(a, b *node) bool {
+	if a == nil || b == nil || len(a.out) == 0 || len(b.in) == 0 {
+		return false // no path leaves a, or none enters b
+	}
+	g.mark(a)
+	return b.stamp == g.gen
+}
+
+// mark stamps every node reachable from start with a fresh g.gen. start
+// itself stays unstamped: the graph is acyclic.
+func (g *Graph) mark(start *node) {
+	if g.gen++; g.gen == 0 {
+		// The stamp wrapped: forget every mark of the last 2^32-1 traversals.
+		//repolint:allow maprange -- resets every node alike, order-free
+		for _, n := range g.nodes {
+			n.stamp = 0
+		}
+		g.gen = 1
 	}
 	// Plain DFS; windows are small and the graph holds only active txns.
-	seen := map[ids.Txn]bool{a: true}
-	stack := []ids.Txn{a}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		//repolint:allow maprange -- boolean reachability, order-free
-		for m := range g.out[n] {
-			if m == b {
-				return true
-			}
-			if !seen[m] {
-				seen[m] = true
-				stack = append(stack, m)
+	g.stack = append(g.stack[:0], start)
+	for len(g.stack) > 0 {
+		n := g.stack[len(g.stack)-1]
+		g.stack = g.stack[:len(g.stack)-1]
+		for _, m := range n.out {
+			if m.stamp != g.gen {
+				m.stamp = g.gen
+				g.stack = append(g.stack, m)
 			}
 		}
 	}
-	return false
 }
 
 // Order arranges pending so that every pair already related in the graph
@@ -156,29 +219,33 @@ func (g *Graph) order(pending []ids.Txn, write []bool) []ids.Txn {
 	if n <= 1 {
 		return append([]ids.Txn(nil), pending...)
 	}
-	// Build the induced constraint edges by reachability.
-	adj := make([][]int, n)
-	indeg := make([]int, n)
-	for i, a := range pending {
-		for j, b := range pending {
-			if i == j {
-				continue
-			}
-			if g.Reaches(a, b) {
-				adj[i] = append(adj[i], j)
-				indeg[j]++
+	// Build the induced constraint edges by reachability: one traversal
+	// per constrained pending transaction, then a look at the others' stamps.
+	g.pend, g.adj, g.adjEnd, g.indeg = g.pend[:0], g.adj[:0], append(g.adjEnd[:0], 0), g.indeg[:0]
+	for _, t := range pending {
+		g.pend = append(g.pend, g.nodes[t])
+		g.indeg = append(g.indeg, 0)
+	}
+	for i, a := range g.pend {
+		if a != nil && len(a.out) > 0 {
+			g.mark(a)
+			for j, b := range g.pend {
+				if j != i && b != nil && b.stamp == g.gen {
+					g.adj = append(g.adj, j)
+					g.indeg[j]++
+				}
 			}
 		}
+		g.adjEnd = append(g.adjEnd, len(g.adj))
 	}
 	// Kahn's algorithm. Among available transactions prefer readers when
 	// grouping is requested, then the smallest original index, keeping
 	// the output deterministic and (within each class) FIFO.
 	out := make([]ids.Txn, 0, n)
-	used := make([]bool, n)
 	for len(out) < n {
 		pick := -1
 		for i := 0; i < n; i++ {
-			if used[i] || indeg[i] != 0 {
+			if g.indeg[i] != 0 {
 				continue
 			}
 			if pick < 0 {
@@ -193,54 +260,28 @@ func (g *Graph) order(pending []ids.Txn, write []bool) []ids.Txn {
 			// Unreachable: induced reachability on a DAG cannot cycle.
 			panic("prec: induced constraint cycle")
 		}
-		used[pick] = true
+		g.indeg[pick] = -1
 		out = append(out, pending[pick])
-		for _, j := range adj[pick] {
-			indeg[j]--
+		for _, j := range g.adj[g.adjEnd[pick]:g.adjEnd[pick+1]] {
+			g.indeg[j]--
 		}
 	}
 	return out
 }
 
 // Size returns the number of transactions with at least one constraint.
-func (g *Graph) Size() int {
-	seen := map[ids.Txn]bool{}
-	//repolint:allow maprange -- counting distinct keys, order-free
-	for a := range g.out {
-		seen[a] = true
-	}
-	//repolint:allow maprange -- counting distinct keys, order-free
-	for b := range g.in {
-		seen[b] = true
-	}
-	return len(seen)
-}
+func (g *Graph) Size() int { return len(g.nodes) }
 
-// HasCycle reports whether the graph contains a cycle. Record maintains
-// acyclicity, so this is an invariant check for tests.
+// HasCycle reports whether the graph contains a cycle. Constrain
+// maintains acyclicity, so this is an invariant check for tests: an edge
+// whose head reaches back to its tail.
 func (g *Graph) HasCycle() bool {
-	color := map[ids.Txn]int{}
-	var visit func(n ids.Txn) bool
-	visit = func(n ids.Txn) bool {
-		color[n] = 1
-		//repolint:allow maprange -- boolean cycle test, order-free
-		for m := range g.out[n] {
-			switch color[m] {
-			case 1:
-				return true
-			case 0:
-				if visit(m) {
-					return true
-				}
-			}
-		}
-		color[n] = 2
-		return false
-	}
 	//repolint:allow maprange -- boolean cycle test, order-free
-	for n := range g.out {
-		if color[n] == 0 && visit(n) {
-			return true
+	for _, n := range g.nodes {
+		for _, m := range n.out {
+			if g.mark(m); n.stamp == g.gen {
+				return true
+			}
 		}
 	}
 	return false

@@ -402,10 +402,9 @@ func (g *GroupServer) Done(item ids.Item, txn ids.Txn) {
 }
 
 func (g *GroupServer) memberDone(f *Flight, txn ids.Txn) {
-	if f.Done(txn) || (f.Plan.SegOf(txn) < 0 && !f.IsExtra(txn)) {
+	if !g.disp.MemberDone(f, txn) {
 		return
 	}
-	g.disp.MemberDone(f, txn)
 	t := g.txns[txn]
 	t.open--
 	g.release(txn, t)

@@ -45,6 +45,13 @@ type Dispatcher struct {
 	Order *prec.Graph
 	// Opts are the dispatch rules in force.
 	Opts WindowOptions
+
+	// PlanWindow's scratch, reused by every call.
+	txns    []ids.Txn
+	writes  []bool
+	ordered []WindowRequest
+	victims []WindowRequest
+	entries []fwdlist.Entry
 }
 
 // NewDispatcher returns an empty g-2PL dispatch core.
@@ -63,54 +70,59 @@ func NewDispatcher(opts WindowOptions) *Dispatcher {
 //
 // It returns the flight plan (nil when every capped request fell to a
 // cycle), the dispatch-time victims in the order the driver must abort
-// them, and the cap remainder that forms the next window. On return the
-// surviving list's chain edges are installed in Waits and its order is
-// recorded in Order; the caller must not have request-level wait edges
-// installed for reqs.
+// them, and the cap remainder that forms the next window; victims and
+// rest are the dispatcher's storage (or reqs'), good until the next call.
+// On return the surviving list's chain edges are installed in Waits and
+// its order is recorded in Order; the caller must not have request-level
+// wait edges installed for reqs, which holds one request per transaction.
 func (d *Dispatcher) PlanWindow(item ids.Item, reqs []WindowRequest) (plan *FlightPlan, victims, rest []WindowRequest) {
 	ordered := reqs
 	switch {
 	case !d.Opts.NoAvoidance:
-		txns := make([]ids.Txn, len(reqs))
-		writes := make([]bool, len(reqs))
-		byID := make(map[ids.Txn]WindowRequest, len(reqs))
-		for i, q := range reqs {
-			txns[i] = q.Txn
-			writes[i] = q.Write
-			byID[q.Txn] = q
+		d.txns, d.writes = d.txns[:0], d.writes[:0]
+		for _, q := range reqs {
+			d.txns = append(d.txns, q.Txn)
+			d.writes = append(d.writes, q.Write)
 		}
-		var ids []ids.Txn
+		var order []ids.Txn
 		if d.Opts.FIFOWindows {
-			ids = d.Order.Order(txns)
+			order = d.Order.Order(d.txns)
 		} else {
-			ids = d.Order.OrderGrouped(txns, writes)
+			order = d.Order.OrderGrouped(d.txns, d.writes)
 		}
-		ordered = make([]WindowRequest, len(ids))
-		for i, id := range ids {
-			ordered[i] = byID[id]
+		d.ordered = d.ordered[:0]
+		for _, id := range order {
+			for _, q := range reqs {
+				if q.Txn == id {
+					d.ordered = append(d.ordered, q)
+					break
+				}
+			}
 		}
+		ordered = d.ordered
 	case !d.Opts.FIFOWindows:
 		// No precedence constraints to respect: stable-partition the
 		// window's readers ahead of its writers.
-		grouped := make([]WindowRequest, 0, len(reqs))
+		d.ordered = d.ordered[:0]
 		for _, q := range reqs {
 			if !q.Write {
-				grouped = append(grouped, q)
+				d.ordered = append(d.ordered, q)
 			}
 		}
 		for _, q := range reqs {
 			if q.Write {
-				grouped = append(grouped, q)
+				d.ordered = append(d.ordered, q)
 			}
 		}
-		ordered = grouped
+		ordered = d.ordered
 	}
 	if limit := d.Opts.MaxForwardList; limit > 0 && len(ordered) > limit {
 		rest = ordered[limit:]
 		ordered = ordered[:limit]
 	}
 
-	list := fwdlist.Build(entriesOf(ordered))
+	d.victims = d.victims[:0]
+	list := d.build(ordered)
 	d.addChainEdges(list)
 	for {
 		victim := -1
@@ -127,31 +139,27 @@ func (d *Dispatcher) PlanWindow(item ids.Item, reqs []WindowRequest) (plan *Flig
 		v := ordered[victim]
 		ordered = append(ordered[:victim], ordered[victim+1:]...)
 		d.Order.Remove(v.Txn)
-		victims = append(victims, v)
-		list = fwdlist.Build(entriesOf(ordered))
+		d.victims = append(d.victims, v)
+		list = d.build(ordered)
 		d.addChainEdges(list)
 	}
 	if len(ordered) == 0 {
 		d.removeChainEdges(list)
-		return nil, victims, rest
+		return nil, d.victims, rest
 	}
 	if !d.Opts.NoAvoidance {
-		dispatched := make([]ids.Txn, len(ordered))
-		for i, q := range ordered {
-			dispatched[i] = q.Txn
-		}
-		d.Order.Record(dispatched)
+		d.Order.Record(list.Txns())
 	}
-	return &FlightPlan{Item: item, List: list, MR1W: d.Opts.MR1W}, victims, rest
+	return &FlightPlan{Item: item, List: list, MR1W: d.Opts.MR1W}, d.victims, rest
 }
 
-// entriesOf converts ordered window requests into forward-list entries.
-func entriesOf(reqs []WindowRequest) []fwdlist.Entry {
-	entries := make([]fwdlist.Entry, len(reqs))
-	for i, q := range reqs {
-		entries[i] = fwdlist.Entry{Txn: q.Txn, Client: q.Client, Write: q.Write}
+// build segments ordered window requests into a forward list.
+func (d *Dispatcher) build(reqs []WindowRequest) *fwdlist.List {
+	d.entries = d.entries[:0]
+	for _, q := range reqs {
+		d.entries = append(d.entries, fwdlist.Entry{Txn: q.Txn, Client: q.Client, Write: q.Write})
 	}
-	return entries
+	return fwdlist.Build(d.entries) // Build copies what it keeps
 }
 
 // addChainEdges installs the forward-list precedence waits: each member
@@ -207,20 +215,22 @@ func (d *Dispatcher) Unblock(txn ids.Txn, edges []ids.Txn) {
 
 // MemberDone marks a flight member as finished (released or forwarded the
 // item) and drops the chain wait-for edges from the next segment's
-// members toward it. Extras (off-list members) only mark.
-func (d *Dispatcher) MemberDone(f *Flight, txn ids.Txn) {
-	f.done[txn] = true
-	j := f.Plan.SegOf(txn)
-	if j < 0 {
-		return
+// members toward it. Extras (off-list members) only mark. It reports
+// false, and does nothing, when txn is no member or already finished.
+func (d *Dispatcher) MemberDone(f *Flight, txn ids.Txn) bool {
+	done := f.flag(txn)
+	if done == nil || *done {
+		return false
 	}
+	*done = true
+	f.left--
 	list := f.Plan.List
-	if j+1 >= list.NumSegments() {
-		return
+	if j := f.Plan.SegOf(txn); j >= 0 && j+1 < list.NumSegments() {
+		for _, e := range list.Segment(j + 1).Entries {
+			d.Waits.RemoveEdge(e.Txn, txn)
+		}
 	}
-	for _, e := range list.Segment(j + 1).Entries {
-		d.Waits.RemoveEdge(e.Txn, txn)
-	}
+	return true
 }
 
 // Flight tracks the server-side view of one dispatched forward list:
@@ -229,30 +239,40 @@ func (d *Dispatcher) MemberDone(f *Flight, txn ids.Txn) {
 type Flight struct {
 	// Plan is the immutable routing plan the flight dispatched with.
 	Plan   *FlightPlan
-	done   map[ids.Txn]bool
-	extras []ids.Txn // ascending ids; late readers admitted by read expansion
+	done   []bool  // by list position
+	extras []extra // ascending ids; late readers admitted by read expansion
+	left   int     // members, extras included, not yet done
+}
+
+// extra is one read-expansion member and its done flag.
+type extra struct {
+	txn  ids.Txn
+	done bool
 }
 
 // NewFlight returns the tracking state for a freshly dispatched plan.
 func NewFlight(plan *FlightPlan) *Flight {
-	return &Flight{Plan: plan, done: make(map[ids.Txn]bool)}
+	n := plan.List.Len()
+	return &Flight{Plan: plan, done: make([]bool, n), left: n}
 }
 
 // Unfinished returns the ids of members (including extras) that have not
 // yet released or forwarded the item — the transactions a new pending
-// request must wait for. List members come first in list order, then
-// extras in ascending id order, so the result never depends on map
-// iteration order.
+// request must wait for — in a slice the caller owns. List members come
+// first in list order, then extras in ascending id order.
 func (f *Flight) Unfinished() []ids.Txn {
-	var out []ids.Txn
-	for _, t := range f.Plan.List.Txns() {
-		if !f.done[t] {
+	if f.left == 0 {
+		return nil
+	}
+	out := make([]ids.Txn, 0, f.left)
+	for i, t := range f.Plan.List.Txns() {
+		if !f.done[i] {
 			out = append(out, t)
 		}
 	}
-	for _, t := range f.extras {
-		if !f.done[t] {
-			out = append(out, t)
+	for _, e := range f.extras {
+		if !e.done {
+			out = append(out, e.txn)
 		}
 	}
 	return out
@@ -260,17 +280,27 @@ func (f *Flight) Unfinished() []ids.Txn {
 
 // AddExtra admits a late reader (read expansion) as a flight member.
 func (f *Flight) AddExtra(txn ids.Txn) {
-	i := sort.Search(len(f.extras), func(i int) bool { return f.extras[i] >= txn })
-	f.extras = append(f.extras, 0)
+	i := f.extraAt(txn)
+	f.extras = append(f.extras, extra{})
 	copy(f.extras[i+1:], f.extras[i:])
-	f.extras[i] = txn
+	f.extras[i] = extra{txn: txn}
+	f.left++
 }
 
-// IsExtra reports whether txn joined the flight by read expansion.
-func (f *Flight) IsExtra(txn ids.Txn) bool {
-	i := sort.Search(len(f.extras), func(i int) bool { return f.extras[i] >= txn })
-	return i < len(f.extras) && f.extras[i] == txn
+// extraAt returns the position in extras at which txn is or would be.
+func (f *Flight) extraAt(txn ids.Txn) int {
+	return sort.Search(len(f.extras), func(i int) bool { return f.extras[i].txn >= txn })
 }
 
-// Done reports whether txn has finished its involvement with the flight.
-func (f *Flight) Done(txn ids.Txn) bool { return f.done[txn] }
+// flag returns txn's done flag, nil when it is not a member.
+func (f *Flight) flag(txn ids.Txn) *bool {
+	for i, t := range f.Plan.List.Txns() {
+		if t == txn {
+			return &f.done[i]
+		}
+	}
+	if i := f.extraAt(txn); i < len(f.extras) && f.extras[i].txn == txn {
+		return &f.extras[i].done
+	}
+	return nil
+}

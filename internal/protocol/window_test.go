@@ -124,15 +124,14 @@ func TestFlightBlockAndMemberDone(t *testing.T) {
 	// Extras join unfinished tracking but have no chain edges.
 	f2 := NewFlight(plan)
 	f2.AddExtra(7)
-	if !f2.IsExtra(7) || f2.IsExtra(1) {
-		t.Error("extra membership wrong")
-	}
 	if got := f2.Unfinished(); !reflect.DeepEqual(got, []ids.Txn{1, 2, 3, 7}) {
 		t.Errorf("unfinished with extra = %v", got)
 	}
-	d.MemberDone(f2, 7)
-	if !f2.Done(7) {
-		t.Error("extra not marked done")
+	if !d.MemberDone(f2, 7) || d.MemberDone(f2, 7) || d.MemberDone(f2, 8) {
+		t.Error("MemberDone must report true once for an extra, false for a repeat or a stranger")
+	}
+	if got := f2.Unfinished(); !reflect.DeepEqual(got, []ids.Txn{1, 2, 3}) {
+		t.Errorf("unfinished after the extra finished = %v", got)
 	}
 }
 
@@ -191,5 +190,40 @@ func TestFlightPlanRouting(t *testing.T) {
 	}
 	if got := plan3.FinalReturns(); got != 1 {
 		t.Errorf("lone-reader FinalReturns = %d, want 1", got)
+	}
+}
+
+// TestWindowSteadyStateAllocs bounds what closing an 8-request window and
+// walking its flight to completion allocates once the dispatcher's scratch
+// and both graphs have seen their working set: the order, the list (four
+// objects), the plan and the flight (two).
+func TestWindowSteadyStateAllocs(t *testing.T) {
+	d := NewDispatcher(WindowOptions{MR1W: true})
+	reqs := make([]WindowRequest, 8)
+	next := 0
+	window := func() {
+		base := ids.Txn(next*8 + 1)
+		next++
+		for j := range reqs {
+			reqs[j] = wreq(base+ids.Txn(j), ids.Client(j), j%3 == 0)
+		}
+		plan, victims, rest := d.PlanWindow(1, reqs)
+		if plan == nil || len(victims) != 0 || len(rest) != 0 {
+			t.Fatalf("plan %v victims %v rest %v", plan, victims, rest)
+		}
+		f := NewFlight(plan)
+		for _, txn := range plan.List.Txns() {
+			d.MemberDone(f, txn)
+			d.Order.Remove(txn)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		window()
+	}
+	if n := testing.AllocsPerRun(100, window); n > 8 {
+		t.Errorf("window: %v allocs per run, want at most 8", n)
+	}
+	if d.Waits.Edges() != 0 || d.Order.Size() != 0 {
+		t.Errorf("graphs not empty after every flight finished: %d edges, %d nodes", d.Waits.Edges(), d.Order.Size())
 	}
 }

@@ -11,10 +11,17 @@
 // forward-list precedence on another), and removing one cause must not
 // erase the others. AddEdge increments, RemoveEdge decrements, and the
 // pair disappears only at count zero.
+//
+// A transaction with an edge is a node reached through one map lookup per
+// API call; adjacency is slices of node pointers, nodes are recycled, and
+// the cycle search marks nodes with a generation stamp on a graph-owned
+// stack, so in steady state nothing here allocates except a found cycle
+// and WaitsOf's copy. A Graph is not safe for concurrent use: each
+// protocol core owns one and runs single-threaded behind its site.
 package wfg
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/ids"
 )
@@ -23,16 +30,87 @@ import (
 // transaction a waits for transaction b for at least one reason.
 // The zero value is not usable; call New.
 type Graph struct {
-	out map[ids.Txn]map[ids.Txn]int
-	in  map[ids.Txn]map[ids.Txn]int
+	nodes map[ids.Txn]*node // exactly the transactions with an edge
+	free  []*node           // recycled nodes: no edges, stamp 0
+	edges int               // distinct waiting pairs
+	gen   uint32            // stamp of the latest search; node.stamp == gen means visited
+	stack []frame           // the search's DFS stack, which is also its path
+}
+
+// node is one transaction's adjacency.
+type node struct {
+	id    ids.Txn
+	out   []edge  // ascending by to.id: the order the cycle search walks
+	in    []*node // distinct sources, unordered
+	stamp uint32
+}
+
+// edge is one waiting pair with the number of reasons behind it.
+type edge struct {
+	to *node
+	n  int
+}
+
+// frame is one DFS level: a node and its next unexplored successor.
+type frame struct {
+	n    *node
+	next int
 }
 
 // New returns an empty wait-for graph.
 func New() *Graph {
-	return &Graph{
-		out: make(map[ids.Txn]map[ids.Txn]int),
-		in:  make(map[ids.Txn]map[ids.Txn]int),
+	return &Graph{nodes: make(map[ids.Txn]*node)}
+}
+
+// node returns t's node, taking one from the free list if t has none.
+func (g *Graph) node(t ids.Txn) *node {
+	n := g.nodes[t]
+	if n == nil {
+		if last := len(g.free) - 1; last >= 0 {
+			n, g.free = g.free[last], g.free[:last]
+		} else {
+			n = new(node)
+		}
+		n.id = t
+		g.nodes[t] = n
 	}
+	return n
+}
+
+// retire recycles n once its last edge is gone.
+func (g *Graph) retire(n *node) {
+	if len(n.out) == 0 && len(n.in) == 0 {
+		delete(g.nodes, n.id)
+		n.stamp = 0
+		g.free = append(g.free, n)
+	}
+}
+
+// find returns the position of the edge to b in n.out, or where it would
+// be inserted.
+func (n *node) find(b ids.Txn) (int, bool) {
+	i := 0
+	for i < len(n.out) && n.out[i].to.id < b {
+		i++
+	}
+	return i, i < len(n.out) && n.out[i].to.id == b
+}
+
+// unlink drops the pair n -> n.out[i].to whatever its count, leaving both
+// ends in the graph.
+func (g *Graph) unlink(n *node, i int) *node {
+	to := n.out[i].to
+	n.out = slices.Delete(n.out, i, i+1)
+	for j, src := range to.in {
+		if src == n {
+			last := len(to.in) - 1
+			to.in[j] = to.in[last]
+			to.in = to.in[:last]
+			break
+		}
+	}
+	g.edges--
+	return to
 }
 
 // AddEdge records one more reason that a waits for b. Self-edges are
@@ -41,72 +119,69 @@ func (g *Graph) AddEdge(a, b ids.Txn) {
 	if a == b {
 		return
 	}
-	bump(g.out, a, b, 1)
-	bump(g.in, b, a, 1)
+	na := g.node(a)
+	i, ok := na.find(b)
+	if ok {
+		na.out[i].n++
+		return
+	}
+	nb := g.node(b)
+	na.out = slices.Insert(na.out, i, edge{to: nb, n: 1})
+	nb.in = append(nb.in, na)
+	g.edges++
 }
 
 // RemoveEdge removes one reason that a waits for b; the edge disappears
 // when its count reaches zero. Removing an absent edge is a no-op.
 func (g *Graph) RemoveEdge(a, b ids.Txn) {
-	if g.count(a, b) == 0 {
+	na := g.nodes[a]
+	if na == nil {
 		return
 	}
-	bump(g.out, a, b, -1)
-	bump(g.in, b, a, -1)
-}
-
-func bump(m map[ids.Txn]map[ids.Txn]int, k, v ids.Txn, d int) {
-	s := m[k]
-	if s == nil {
-		s = make(map[ids.Txn]int)
-		m[k] = s
+	i, ok := na.find(b)
+	if !ok {
+		return
 	}
-	s[v] += d
-	if s[v] <= 0 {
-		delete(s, v)
-		if len(s) == 0 {
-			delete(m, k)
-		}
+	if na.out[i].n--; na.out[i].n > 0 {
+		return
 	}
+	g.retire(g.unlink(na, i))
+	g.retire(na)
 }
-
-func (g *Graph) count(a, b ids.Txn) int { return g.out[a][b] }
 
 // RemoveTxn deletes every edge incident to t, regardless of count (the
 // transaction committed or aborted).
 func (g *Graph) RemoveTxn(t ids.Txn) {
-	//repolint:allow maprange -- commutative deletes, order-free
-	for b := range g.out[t] {
-		bump(g.in, b, t, -g.in[b][t])
+	n := g.nodes[t]
+	if n == nil {
+		return
 	}
-	delete(g.out, t)
-	//repolint:allow maprange -- commutative deletes, order-free
-	for a := range g.in[t] {
-		bump(g.out, a, t, -g.out[a][t])
+	for len(n.out) > 0 {
+		g.retire(g.unlink(n, len(n.out)-1))
 	}
-	delete(g.in, t)
+	for len(n.in) > 0 {
+		src := n.in[0]
+		i, _ := src.find(t)
+		g.unlink(src, i)
+		g.retire(src)
+	}
+	g.retire(n)
 }
 
 // Edges returns the number of distinct waiting pairs.
-func (g *Graph) Edges() int {
-	n := 0
-	//repolint:allow maprange -- summing counts, order-free
-	for _, s := range g.out {
-		n += len(s)
-	}
-	return n
-}
+func (g *Graph) Edges() int { return g.edges }
 
 // WaitsOf returns a sorted copy of a's current distinct wait set.
 func (g *Graph) WaitsOf(a ids.Txn) []ids.Txn {
-	s := g.out[a]
-	out := make([]ids.Txn, 0, len(s))
-	//repolint:allow maprange -- keys are sorted before use
-	for b := range s {
-		out = append(out, b)
+	var out []edge
+	if n := g.nodes[a]; n != nil {
+		out = n.out
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	waits := make([]ids.Txn, len(out))
+	for i, e := range out {
+		waits[i] = e.to.id
+	}
+	return waits
 }
 
 // CycleThrough returns a cycle containing start, if one exists, as a list
@@ -116,63 +191,62 @@ func (g *Graph) WaitsOf(a ids.Txn) []ids.Txn {
 // Detection runs a DFS from start restricted to nodes reachable from it,
 // which matches the paper's "detection initiated when a lock cannot be
 // granted": only cycles through the newly blocked transaction can be new.
+// Successors are tried in ascending transaction id, so the cycle found —
+// and with it the victim a policy picks from it — is a function of the
+// edge set alone.
 func (g *Graph) CycleThrough(start ids.Txn) []ids.Txn {
-	type frame struct {
-		node ids.Txn
-		next []ids.Txn // unexplored successors, sorted for determinism
+	n := g.nodes[start]
+	if n == nil || !g.search(n) {
+		return nil
 	}
-	succ := func(n ids.Txn) []ids.Txn { return g.WaitsOf(n) }
-	visited := map[ids.Txn]bool{start: true}
-	stack := []frame{{start, succ(start)}}
-	path := []ids.Txn{start}
-	for len(stack) > 0 {
-		top := &stack[len(stack)-1]
-		if len(top.next) == 0 {
-			stack = stack[:len(stack)-1]
-			path = path[:len(path)-1]
+	cycle := make([]ids.Txn, len(g.stack))
+	for i, f := range g.stack {
+		cycle[i] = f.n.id
+	}
+	return cycle
+}
+
+// search runs the DFS and reports whether start is on a cycle; if so the
+// path [start, ..., last] is left on g.stack.
+func (g *Graph) search(start *node) bool {
+	if len(start.in) == 0 || len(start.out) == 0 {
+		return false // nothing waits for it, or it waits for nothing
+	}
+	if g.gen++; g.gen == 0 {
+		// The stamp wrapped: forget every mark of the last 2^32-1 searches.
+		//repolint:allow maprange -- resets every node alike, order-free
+		for _, n := range g.nodes {
+			n.stamp = 0
+		}
+		g.gen = 1
+	}
+	start.stamp = g.gen
+	g.stack = append(g.stack[:0], frame{n: start})
+	for len(g.stack) > 0 {
+		top := &g.stack[len(g.stack)-1]
+		if top.next == len(top.n.out) {
+			g.stack = g.stack[:len(g.stack)-1]
 			continue
 		}
-		n := top.next[0]
-		top.next = top.next[1:]
+		n := top.n.out[top.next].to
+		top.next++
 		if n == start {
-			out := make([]ids.Txn, len(path))
-			copy(out, path)
-			return out
+			return true
 		}
-		if visited[n] {
-			continue
+		if n.stamp != g.gen {
+			n.stamp = g.gen
+			g.stack = append(g.stack, frame{n: n})
 		}
-		visited[n] = true
-		stack = append(stack, frame{n, succ(n)})
-		path = append(path, n)
 	}
-	return nil
+	return false
 }
 
 // HasCycle reports whether any cycle exists in the whole graph, used by
-// tests and the live system's validator.
+// tests: some node is on a cycle through itself.
 func (g *Graph) HasCycle() bool {
-	color := map[ids.Txn]int{} // 0 white, 1 gray, 2 black
-	var visit func(n ids.Txn) bool
-	visit = func(n ids.Txn) bool {
-		color[n] = 1
-		//repolint:allow maprange -- boolean cycle test, order-free
-		for m := range g.out[n] {
-			switch color[m] {
-			case 1:
-				return true
-			case 0:
-				if visit(m) {
-					return true
-				}
-			}
-		}
-		color[n] = 2
-		return false
-	}
 	//repolint:allow maprange -- boolean cycle test, order-free
-	for n := range g.out {
-		if color[n] == 0 && visit(n) {
+	for _, n := range g.nodes {
+		if g.search(n) {
 			return true
 		}
 	}

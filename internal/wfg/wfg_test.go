@@ -198,7 +198,7 @@ func TestCycleProperty(t *testing.T) {
 			}
 			for i := 0; i < len(c); i++ {
 				from, to := c[i], c[(i+1)%len(c)]
-				if g.out[from][to] == 0 {
+				if !waitsFor(g, from, to) {
 					return false // claimed edge absent
 				}
 			}
@@ -208,6 +208,16 @@ func TestCycleProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// waitsFor reports whether the pair from -> to is in g.
+func waitsFor(g *Graph, from, to ids.Txn) bool {
+	for _, w := range g.WaitsOf(from) {
+		if w == to {
+			return true
+		}
+	}
+	return false
 }
 
 func BenchmarkCycleThrough(b *testing.B) {
