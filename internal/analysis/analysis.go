@@ -320,8 +320,7 @@ func DefaultConfig() *Config {
 			},
 		},
 		ImportAllow: map[string][]string{
-			"repro/cmd/experiments":     {"repro/internal/exp"},
-			"repro/cmd/g2plsim":         {"repro/internal/core", "repro/internal/netmodel", "repro/internal/sim"},
+			"repro/cmd/experiments":     {"repro/internal/core", "repro/internal/exp", "repro/internal/protocol"},
 			"repro/cmd/liveserver":      {"repro/internal/live", "repro/internal/protocol", "repro/internal/serial", "repro/internal/workload"},
 			"repro/cmd/repolint":        {"repro/internal/analysis"},
 			"repro/examples/hotspot":    {"repro/internal/core"},
@@ -329,9 +328,9 @@ func DefaultConfig() *Config {
 			"repro/examples/quickstart": {"repro/internal/core"},
 			"repro/examples/wanscaling": {"repro/internal/core", "repro/internal/netmodel"},
 			"repro/internal/analysis":   {},
-			"repro/internal/core":       {"repro/internal/engine", "repro/internal/netmodel", "repro/internal/sim", "repro/internal/stats", "repro/internal/workload"},
+			"repro/internal/core":       {"repro/internal/engine", "repro/internal/netmodel", "repro/internal/stats", "repro/internal/workload"},
 			"repro/internal/engine":     {"repro/internal/history", "repro/internal/ids", "repro/internal/lock", "repro/internal/netmodel", "repro/internal/protocol", "repro/internal/rng", "repro/internal/sim", "repro/internal/stats", "repro/internal/workload"},
-			"repro/internal/exp":        {"repro/internal/core", "repro/internal/engine", "repro/internal/netmodel", "repro/internal/sim", "repro/internal/stats", "repro/internal/workload"},
+			"repro/internal/exp":        {"repro/internal/core", "repro/internal/engine", "repro/internal/netmodel", "repro/internal/protocol", "repro/internal/sim", "repro/internal/stats", "repro/internal/workload"},
 			"repro/internal/fwdlist":    {"repro/internal/ids"},
 			"repro/internal/history":    {"repro/internal/ids"},
 			"repro/internal/ids":        {},

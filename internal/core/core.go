@@ -10,42 +10,17 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/netmodel"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
-// Params configures one experiment point: a workload, a network and the
-// measurement protocol. The zero value is not useful; start from
-// DefaultParams.
+// Params configures one experiment point: the engine configuration of a
+// run plus the number of independent replications. Config.Seed is the
+// base of the replication seed schedule and Config.Protocol is set by Run
+// and Compare. The zero value is not useful; start from DefaultParams.
 type Params struct {
-	Clients int
-	Latency sim.Time // one-way network latency in ticks (see netmodel.Environments)
-
-	Workload workload.Config
-
-	// Protocol toggles, forwarded to the engines (all default to the
-	// full paper protocol).
-	NoAvoidance    bool
-	NoMR1W         bool
-	MaxForwardList int
-	ReadExpand     bool
-	FIFOWindows    bool
-	WindowDelay    sim.Time
-	Victim         engine.VictimPolicy
-	Deadlock       engine.DeadlockPolicy
-
-	// Measurement protocol.
-	TargetCommits int
-	WarmupCommits int
-	Replications  int
-	BaseSeed      uint64
-	MaxTime       sim.Time // per-run livelock guard; 0 = none
-	RecordHistory bool
-
-	// TraceHash makes every replication carry a kernel trajectory digest
-	// in its engine.Result (see engine.Config.TraceHash).
-	TraceHash bool
+	engine.Config
+	Replications int
 }
 
 // DefaultParams returns the paper's Table 1 configuration at a laptop
@@ -54,26 +29,30 @@ type Params struct {
 // protocol.
 func DefaultParams() Params {
 	return Params{
-		Clients:       50,
-		Latency:       500,
-		Workload:      workload.Default(),
-		TargetCommits: 2000,
-		WarmupCommits: 200,
-		Replications:  5,
-		BaseSeed:      1,
-		MaxTime:       5_000_000_000,
+		Config: engine.Config{
+			Clients:       50,
+			Latency:       500,
+			Workload:      workload.Default(),
+			Seed:          1,
+			TargetCommits: 2000,
+			WarmupCommits: 200,
+			MaxTime:       5_000_000_000,
+		},
+		Replications: 5,
 	}
 }
 
-// PaperScale returns p with the paper's full measurement protocol:
+// PaperScale returns p with the paper's full measurement protocol (§5):
 // 50 000 transactions per run after a 10% transient, 5 replications.
 func (p Params) PaperScale() Params {
 	p.TargetCommits = 50000
 	p.WarmupCommits = 5000
+	p.Replications = 5
 	return p
 }
 
-// QuickScale returns p with a fast protocol for tests and benches.
+// QuickScale returns p with a fast protocol for tests and interactive
+// runs.
 func (p Params) QuickScale() Params {
 	p.TargetCommits = 400
 	p.WarmupCommits = 80
@@ -92,35 +71,31 @@ func (p Params) WithEnvironment(abbrev string) (Params, error) {
 	return p, nil
 }
 
-// Validate reports the first configuration error.
-func (p Params) Validate() error {
+// Validate reports the first configuration error of running p under each
+// of protos, or under its own Config.Protocol when none is given.
+func (p Params) Validate(protos ...engine.Protocol) error {
 	if p.Replications < 1 {
 		return fmt.Errorf("core: Replications must be >= 1, got %d", p.Replications)
 	}
-	return p.engineConfig(engine.S2PL, 0).Validate()
+	if len(protos) == 0 {
+		return p.Config.Validate()
+	}
+	for _, proto := range protos {
+		if err := p.replication(proto, 0).Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-func (p Params) engineConfig(proto engine.Protocol, replication int) engine.Config {
-	return engine.Config{
-		Protocol:       proto,
-		Clients:        p.Clients,
-		Workload:       p.Workload,
-		Latency:        p.Latency,
-		Seed:           p.BaseSeed + uint64(replication)*0x9e3779b9,
-		TargetCommits:  p.TargetCommits,
-		WarmupCommits:  p.WarmupCommits,
-		NoAvoidance:    p.NoAvoidance,
-		NoMR1W:         p.NoMR1W,
-		MaxForwardList: p.MaxForwardList,
-		ReadExpand:     p.ReadExpand,
-		FIFOWindows:    p.FIFOWindows,
-		WindowDelay:    p.WindowDelay,
-		Victim:         p.Victim,
-		Deadlock:       p.Deadlock,
-		RecordHistory:  p.RecordHistory,
-		MaxTime:        p.MaxTime,
-		TraceHash:      p.TraceHash,
-	}
+// replication returns the engine configuration of replication r under
+// proto: the common-random-numbers seed schedule is Seed + r·0x9e3779b9,
+// the same for every protocol.
+func (p Params) replication(proto engine.Protocol, r int) engine.Config {
+	c := p.Config
+	c.Protocol = proto
+	c.Seed += uint64(r) * 0x9e3779b9
+	return c
 }
 
 // ProtocolResult aggregates the replications of one protocol at one
@@ -140,13 +115,17 @@ type ProtocolResult struct {
 // Run executes one protocol at the given parameters across all
 // replications.
 func Run(p Params, proto engine.Protocol) (ProtocolResult, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.Validate(proto); err != nil {
 		return ProtocolResult{}, err
 	}
+	return run(p, proto)
+}
+
+func run(p Params, proto engine.Protocol) (ProtocolResult, error) {
 	out := ProtocolResult{Protocol: proto}
 	var resp, abort, thru, msgs, winl []float64
 	for rep := 0; rep < p.Replications; rep++ {
-		res, err := engine.Run(p.engineConfig(proto, rep))
+		res, err := engine.Run(p.replication(proto, rep))
 		if err != nil {
 			return ProtocolResult{}, fmt.Errorf("core: replication %d: %w", rep, err)
 		}
@@ -173,13 +152,17 @@ type Comparison struct {
 	G2PL ProtocolResult
 }
 
-// Compare runs both protocols at the given parameters.
+// Compare runs both protocols at the given parameters, validating both
+// configurations before running either.
 func Compare(p Params) (Comparison, error) {
-	s, err := Run(p, engine.S2PL)
+	if err := p.Validate(engine.S2PL, engine.G2PL); err != nil {
+		return Comparison{}, err
+	}
+	s, err := run(p, engine.S2PL)
 	if err != nil {
 		return Comparison{}, err
 	}
-	g, err := Run(p, engine.G2PL)
+	g, err := run(p, engine.G2PL)
 	if err != nil {
 		return Comparison{}, err
 	}

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/protocol"
 	"repro/internal/serial"
+	"repro/internal/sim"
 )
 
 func quick() Params {
@@ -155,5 +158,93 @@ func TestErrorMentionsReplication(t *testing.T) {
 	_, err := Run(p, engine.S2PL)
 	if err == nil || !strings.Contains(err.Error(), "replication") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestRunReplicationsMatchEngine pins the replication schedule: run r of
+// Run(p, proto) is exactly engine.Run of p's own Config with the protocol
+// set and the seed advanced r steps — no field of the point may be lost on
+// the way, so every non-default knob below must survive.
+func TestRunReplicationsMatchEngine(t *testing.T) {
+	g2pl := quick()
+	g2pl.Seed = 7
+	g2pl.Replications = 2
+	g2pl.Workload.ReadProb = 0.25
+	g2pl.ReadExpand = true
+	g2pl.WindowDelay = 5
+	g2pl.MaxForwardList = 3
+	g2pl.Victim = protocol.VictimLeastHeld
+	g2pl.Deadlock = protocol.PolicyWoundWait
+	g2pl.TraceHash = true
+	g2pl.RecordHistory = true
+
+	bank := DefaultParams().QuickScale()
+	bank.Replications = 2
+	bank.Shards = 4
+	bank.CrossRatio = 0.3
+	bank.Bank = true
+	bank.InitialBalance = 1000
+	bank.Workload.MinTxnItems, bank.Workload.MaxTxnItems = 2, 2
+	bank.Workload.ReadProb = 0
+	bank.TraceHash = true
+
+	for _, tc := range []struct {
+		name  string
+		p     Params
+		proto engine.Protocol
+	}{{"g-2PL", g2pl, engine.G2PL}, {"sharded-bank", bank, engine.S2PL}} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Run(tc.p, tc.proto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Runs) != tc.p.Replications {
+				t.Fatalf("runs = %d, want %d", len(res.Runs), tc.p.Replications)
+			}
+			for r, got := range res.Runs {
+				cfg := tc.p.Config
+				cfg.Protocol = tc.proto
+				cfg.Seed = tc.p.Seed + uint64(r)*0x9e3779b9
+				want, err := engine.Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.TrajectoryHash == 0 || !reflect.DeepEqual(got, want) {
+					t.Fatalf("replication %d differs from engine.Run of its config (hash %x vs %x)",
+						r, got.TrajectoryHash, want.TrajectoryHash)
+				}
+			}
+		})
+	}
+}
+
+// TestValidateEachProtocol: a sharded point is valid for s-2PL only, so
+// validating it for both protocols must fail.
+func TestValidateEachProtocol(t *testing.T) {
+	p := quick()
+	p.Shards = 2
+	if err := p.Validate(engine.S2PL); err != nil {
+		t.Fatalf("sharded s-2PL rejected: %v", err)
+	}
+	if p.Validate(engine.S2PL, engine.G2PL) == nil {
+		t.Fatal("sharded g-2PL accepted")
+	}
+}
+
+// panicTracer fails a run the moment its kernel schedules anything.
+type panicTracer struct{}
+
+func (panicTracer) Trace(sim.TraceAction, uint64, sim.Time, sim.Time, string) {
+	panic("a replication ran")
+}
+
+// TestCompareValidatesBeforeRunning: Compare rejects a point that one of
+// its protocols cannot run before any replication of the other starts.
+func TestCompareValidatesBeforeRunning(t *testing.T) {
+	p := quick()
+	p.Shards = 2
+	p.Tracer = panicTracer{}
+	if _, err := Compare(p); err == nil {
+		t.Fatal("Compare accepted a sharded g-2PL point")
 	}
 }

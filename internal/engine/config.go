@@ -44,56 +44,6 @@ func (p Protocol) String() string {
 	return fmt.Sprintf("Protocol(%d)", int(p))
 }
 
-// VictimPolicy selects which transaction dies to break a deadlock cycle.
-// It aliases the protocol core's type so engine configs and the shared
-// state machines speak the same vocabulary.
-type VictimPolicy = protocol.VictimPolicy
-
-const (
-	// VictimRequester aborts the transaction whose blocked request closed
-	// the cycle (the paper's "detection initiated when a lock cannot be
-	// granted" resolution).
-	VictimRequester = protocol.VictimRequester
-	// VictimLeastHeld aborts the cycle member holding the fewest items,
-	// discarding the least work (an ablation).
-	VictimLeastHeld = protocol.VictimLeastHeld
-)
-
-// DeadlockPolicy selects how conflicting lock requests resolve: detect
-// cycles after blocking (the paper's protocol, the default) or avoid
-// deadlock by timestamp order. Aliased from the protocol core.
-type DeadlockPolicy = protocol.DeadlockPolicy
-
-const (
-	// PolicyDetect blocks and resolves wait-for cycles by aborting victims.
-	PolicyDetect = protocol.PolicyDetect
-	// PolicyNoWait aborts the requester on any conflict.
-	PolicyNoWait = protocol.PolicyNoWait
-	// PolicyWaitDie lets an older requester wait and kills a younger one.
-	PolicyWaitDie = protocol.PolicyWaitDie
-	// PolicyWoundWait lets an older requester abort younger lock holders.
-	PolicyWoundWait = protocol.PolicyWoundWait
-)
-
-// ParseVictimPolicy re-exports the protocol core's victim-policy flag
-// parser alongside the aliased type, so layers above the engine can
-// translate flag strings without importing the core directly.
-func ParseVictimPolicy(s string) (VictimPolicy, error) {
-	return protocol.ParseVictimPolicy(s)
-}
-
-// ParseDeadlockPolicy parses "detect", "nowait", "waitdie" or
-// "woundwait".
-func ParseDeadlockPolicy(s string) (DeadlockPolicy, error) {
-	return protocol.ParseDeadlockPolicy(s)
-}
-
-// DeadlockPolicies returns every deadlock policy in declaration order,
-// for sweeps.
-func DeadlockPolicies() []DeadlockPolicy {
-	return protocol.DeadlockPolicies()
-}
-
 // Config describes one simulation run.
 type Config struct {
 	Protocol Protocol
@@ -135,12 +85,12 @@ type Config struct {
 
 	// Victim selects the deadlock victim policy, applied identically to
 	// both protocols.
-	Victim VictimPolicy
+	Victim protocol.VictimPolicy
 
 	// Deadlock selects the deadlock policy (detect, nowait, waitdie,
 	// woundwait), applied to every protocol. The zero value is the paper's
 	// detect-and-abort, pinned by the golden trajectories.
-	Deadlock DeadlockPolicy
+	Deadlock protocol.DeadlockPolicy
 
 	// Shards, when > 1, splits the item space across K lock-server shards
 	// coordinated by a 2PC commit coordinator (extension, DESIGN.md §13).

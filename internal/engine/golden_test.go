@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -119,7 +120,7 @@ func goldenCases() []goldenCase {
 	// 150-260 times per run on every engine, including mid-think, so these
 	// rows pin the clients' "still live?" re-checks in the think and commit
 	// timers — paths the detect-only rows above never reach.
-	for _, pol := range []DeadlockPolicy{PolicyWoundWait, PolicyWaitDie} {
+	for _, pol := range []protocol.DeadlockPolicy{protocol.PolicyWoundWait, protocol.PolicyWaitDie} {
 		for _, k := range []int{0, 2} {
 			for _, p := range []Protocol{S2PL, G2PL, C2PL} {
 				if k > 0 && p != S2PL {
@@ -149,7 +150,7 @@ func goldenCases() []goldenCase {
 		set  func(*Config)
 	}{
 		{"readexpand", func(c *Config) { c.ReadExpand = true }},
-		{"leastheld", func(c *Config) { c.Victim = VictimLeastHeld }},
+		{"leastheld", func(c *Config) { c.Victim = protocol.VictimLeastHeld }},
 	} {
 		cfg := goldenConfig(G2PL, 1)
 		cfg.Workload.Items = 10

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/protocol"
 	"repro/internal/serial"
 )
 
@@ -12,7 +13,7 @@ import (
 // aborts (or refuses to block), the committed history must stay
 // equivalent to a serial one.
 func TestPoliciesSerializable(t *testing.T) {
-	for _, pol := range DeadlockPolicies() {
+	for _, pol := range protocol.DeadlockPolicies() {
 		for _, proto := range []Protocol{S2PL, G2PL, C2PL} {
 			t.Run(fmt.Sprintf("%v/%v", pol, proto), func(t *testing.T) {
 				cfg := testConfig(proto)
@@ -36,7 +37,7 @@ func TestPoliciesSerializable(t *testing.T) {
 // backstop, so only the blocking-time causes are constrained there.
 func TestPolicyCauseAccounting(t *testing.T) {
 	for _, proto := range []Protocol{S2PL, C2PL} {
-		for _, pol := range DeadlockPolicies() {
+		for _, pol := range protocol.DeadlockPolicies() {
 			t.Run(fmt.Sprintf("%v/%v", pol, proto), func(t *testing.T) {
 				cfg := testConfig(proto)
 				cfg.RecordHistory = false
@@ -44,19 +45,19 @@ func TestPolicyCauseAccounting(t *testing.T) {
 				res := mustRun(t, cfg)
 				c := res.Causes
 				switch pol {
-				case PolicyDetect:
+				case protocol.PolicyDetect:
 					if c.Wound+c.Die+c.NoWait != 0 {
 						t.Errorf("detect produced avoidance causes: %+v", c)
 					}
-				case PolicyNoWait:
+				case protocol.PolicyNoWait:
 					if c.Deadlock+c.Wound+c.Die != 0 {
 						t.Errorf("nowait produced non-nowait causes: %+v", c)
 					}
-				case PolicyWaitDie:
+				case protocol.PolicyWaitDie:
 					if c.Deadlock+c.Wound+c.NoWait != 0 {
 						t.Errorf("waitdie produced non-die causes: %+v", c)
 					}
-				case PolicyWoundWait:
+				case protocol.PolicyWoundWait:
 					if c.Deadlock+c.Die+c.NoWait != 0 {
 						t.Errorf("woundwait produced non-wound causes: %+v", c)
 					}
@@ -72,7 +73,7 @@ func TestPolicyCauseAccounting(t *testing.T) {
 // every policy: wounds and dies now interleave with prepare/decide
 // rounds, and the serializability and commit-target oracles must hold.
 func TestShardedPoliciesSerializable(t *testing.T) {
-	for _, pol := range DeadlockPolicies() {
+	for _, pol := range protocol.DeadlockPolicies() {
 		t.Run(pol.String(), func(t *testing.T) {
 			cfg := shardedConfig(3, 1)
 			cfg.Deadlock = pol
@@ -91,7 +92,7 @@ func TestShardedPoliciesSerializable(t *testing.T) {
 // samples the policy matrix reports — a policy sweep whose p99 column
 // silently read zero would compare nothing.
 func TestPolicyTailMetricsPopulated(t *testing.T) {
-	for _, pol := range DeadlockPolicies() {
+	for _, pol := range protocol.DeadlockPolicies() {
 		cfg := testConfig(S2PL)
 		cfg.RecordHistory = false
 		cfg.Deadlock = pol

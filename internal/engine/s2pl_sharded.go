@@ -184,21 +184,16 @@ func (r *s2pcRun) clientPartGrant(t *s2pcTxn, op workload.Op, ver ids.Txn, val i
 func (r *s2pcRun) shardedCommit(t *s2pcTxn) {
 	t.x.rec = t.record()
 	t.x.writesBy = make(map[int][]s2pcWrite)
-	delta := int64(t.id%7) + 1
 	widx := 0
 	for i, op := range t.profile.Ops {
 		if !op.Write {
 			continue
 		}
 		// Non-bank runs install the writer's id as the value — a version
-		// stamp; bank runs move delta from the first account to the second.
+		// stamp; bank runs apply the transfer rule to the granted balance.
 		val := int64(t.id)
 		if r.cfg.Bank {
-			if widx == 0 {
-				val = t.x.vals[i] - delta
-			} else {
-				val = t.x.vals[i] + delta
-			}
+			val = workload.Transfer(t.id, widx, t.x.vals[i])
 		}
 		widx++
 		s := r.smap.Of(op.Item)

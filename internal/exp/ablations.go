@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -20,7 +21,7 @@ func ablationWindow(sc Scale, w io.Writer) error {
 		"g-2PL mean response time vs collection-window delay (pr=0.25, 50 clients, s-WAN)",
 		"window_delay", "mean response time", curveG)
 	for _, d := range []sim.Time{0, 25, 100, 250, 500} {
-		p := baseParams(sc)
+		p := sc.Base
 		p.Workload.ReadProb = 0.25
 		p.WindowDelay = d
 		g, err := core.Run(p, engine.G2PL)
@@ -41,7 +42,7 @@ func variantTable(w io.Writer, title string, sc Scale, pr float64, variants []st
 	fmt.Fprintln(w, title)
 	fmt.Fprintf(w, "  %-28s %-20s %-16s %s\n", "variant", "mean response", "% aborted", "msgs/txn")
 	for _, v := range variants {
-		p := baseParams(sc)
+		p := sc.Base
 		p.Workload.ReadProb = pr
 		if v.mut != nil {
 			v.mut(&p)
@@ -94,12 +95,12 @@ func ablationVictim(sc Scale, w io.Writer) error {
 	fmt.Fprintf(w, "  %-28s %-10s %-20s %s\n", "policy", "protocol", "mean response", "% aborted")
 	for _, v := range []struct {
 		name   string
-		policy engine.VictimPolicy
+		policy protocol.VictimPolicy
 	}{
-		{"requester (default)", engine.VictimRequester},
-		{"least held work", engine.VictimLeastHeld},
+		{"requester (default)", protocol.VictimRequester},
+		{"least held work", protocol.VictimLeastHeld},
 	} {
-		p := baseParams(sc)
+		p := sc.Base
 		p.Workload.ReadProb = 0.25
 		p.Victim = v.policy
 		c, err := core.Compare(p)
@@ -121,7 +122,7 @@ func extReadExpand(sc Scale, w io.Writer) error {
 	fmt.Fprintf(w, "  %-10s %-22s %-20s %-16s %-20s %s\n",
 		"latency", "variant", "mean response", "% aborted", "s-2PL response", "s-2PL % aborted")
 	for _, lat := range []sim.Time{1, 250} {
-		p := baseParams(sc)
+		p := sc.Base
 		p.Latency = lat
 		p.Workload.ReadProb = 1.0
 		c, err := core.Compare(p)
@@ -149,7 +150,7 @@ func extSorted(sc Scale, w io.Writer) error {
 	fmt.Fprintln(w, "Extension: canonical item access order (pr=0.25, 50 clients, s-WAN)")
 	fmt.Fprintf(w, "  %-18s %-10s %-20s %s\n", "access order", "protocol", "mean response", "% aborted")
 	for _, sorted := range []bool{false, true} {
-		p := baseParams(sc)
+		p := sc.Base
 		p.Workload.ReadProb = 0.25
 		p.Workload.Sorted = sorted
 		c, err := core.Compare(p)
@@ -177,7 +178,7 @@ func extC2PL(sc Scale, w io.Writer) error {
 	for _, locality := range []float64{0, 0.9} {
 		name := fmt.Sprintf("%.0f%%", 100*locality)
 		for _, proto := range []engine.Protocol{engine.S2PL, engine.G2PL, engine.C2PL} {
-			p := baseParams(sc)
+			p := sc.Base
 			p.Clients = 20
 			p.Workload.Items = 100
 			p.Workload.MaxTxnItems = 3

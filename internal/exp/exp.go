@@ -7,7 +7,6 @@ package exp
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -16,69 +15,22 @@ import (
 	"repro/internal/stats"
 )
 
-// Scale controls how much simulation an experiment performs.
+// Scale is what every experiment starts from: the base point (the paper's
+// Table 1 configuration at a measurement scale, as the cmd's flags left
+// it), from which each experiment varies its own parameters, plus the
+// sharded sweeps' overrides.
 type Scale struct {
-	TargetCommits int
-	WarmupCommits int
-	Replications  int
-	MaxTime       sim.Time
+	Base core.Params
 
-	// TraceHash threads the kernel trajectory digest through every run
-	// the experiment performs (engine.Result.TrajectoryHash), making a
-	// whole sweep auditable for reproducibility.
-	TraceHash bool
-
-	// Sharded experiment knobs (the cmd's -shards, -cross-ratio and
+	// Sharded sweep overrides (the cmd's -shards, -cross-ratio and
 	// -zipf-theta flags). Zero values mean each sharded experiment's own
-	// defaults; CrossRatio needs an explicit set-marker because 0 (fully
+	// sweep; CrossRatio needs an explicit set-marker because 0 (fully
 	// shard-confined) is a meaningful override. Single-server experiments
 	// ignore all of these.
 	Shards        int
 	CrossRatio    float64
 	CrossRatioSet bool
 	ZipfTheta     float64
-
-	// Deadlock-handling knobs (the cmd's -deadlock-policy and -victim
-	// flags), threaded through every run an experiment performs. Zero
-	// values are the paper's defaults: detect-and-abort, requester victim.
-	Victim   engine.VictimPolicy
-	Deadlock engine.DeadlockPolicy
-}
-
-// ParseVictimPolicy and ParseDeadlockPolicy re-export the protocol
-// core's flag parsers through the experiment facade, so cmd/experiments
-// can translate its flag strings without widening its import surface
-// beyond this package.
-func ParseVictimPolicy(s string) (engine.VictimPolicy, error) {
-	return engine.ParseVictimPolicy(s)
-}
-
-// ParseDeadlockPolicy parses "detect", "nowait", "waitdie" or
-// "woundwait".
-func ParseDeadlockPolicy(s string) (engine.DeadlockPolicy, error) {
-	return engine.ParseDeadlockPolicy(s)
-}
-
-// Quick is the default scale for tests, benches and interactive runs.
-func Quick() Scale {
-	return Scale{TargetCommits: 400, WarmupCommits: 80, Replications: 3, MaxTime: 10_000_000_000}
-}
-
-// Paper is the paper's full measurement protocol (§5): 50 000 measured
-// transactions per run, 5 replications. Budget hours, not seconds.
-func Paper() Scale {
-	return Scale{TargetCommits: 50000, WarmupCommits: 5000, Replications: 5, MaxTime: 0}
-}
-
-func (s Scale) apply(p core.Params) core.Params {
-	p.TargetCommits = s.TargetCommits
-	p.WarmupCommits = s.WarmupCommits
-	p.Replications = s.Replications
-	p.MaxTime = s.MaxTime
-	p.TraceHash = s.TraceHash
-	p.Victim = s.Victim
-	p.Deadlock = s.Deadlock
-	return p
 }
 
 // Experiment regenerates one table or figure.
@@ -91,6 +43,7 @@ type Experiment struct {
 // All returns every experiment in presentation order.
 func All() []Experiment {
 	return []Experiment{
+		{"point", "One point: both protocols at the base point", point},
 		{"table1", "Table 1: simulation parameters", table1},
 		{"table2", "Table 2: networking environments", table2},
 		{"fig1", "Fig 1: worked example, 3 exclusive clients", fig1},
@@ -132,20 +85,6 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// IDs returns every experiment id, sorted.
-func IDs() []string {
-	var out []string
-	for _, e := range All() {
-		out = append(out, e.ID)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func baseParams(sc Scale) core.Params {
-	return sc.apply(core.DefaultParams())
-}
-
 const (
 	curveG = "g-2PL"
 	curveS = "s-2PL"
@@ -163,8 +102,38 @@ func comparePoint(p core.Params) (rt, ab map[string]stats.Estimate, err error) {
 	return rt, ab, nil
 }
 
+// point is the single-point run: both protocols at the base point, the
+// paper's headline improvement, and each replication's trajectory
+// digests when the base point hashes them.
+func point(sc Scale, w io.Writer) error {
+	p := sc.Base
+	c, err := core.Compare(p)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "clients=%d latency=%d items=%d readprob=%.2f commits=%d reps=%d\n\n",
+		p.Clients, p.Latency, p.Workload.Items, p.Workload.ReadProb, p.TargetCommits, p.Replications)
+	fmt.Fprintf(w, "%-8s %-22s %-18s %-18s %-14s %s\n",
+		"protocol", "mean response", "% aborted", "throughput/kt", "msgs/txn", "mean FL len")
+	for _, r := range []core.ProtocolResult{c.S2PL, c.G2PL} {
+		fmt.Fprintf(w, "%-8s %-22s %-18s %-18s %-14s %s\n",
+			r.Protocol, r.Response, r.AbortPct, r.Throughput, r.Messages, r.WindowLen)
+	}
+	fmt.Fprintf(w, "\ng-2PL response-time improvement over s-2PL: %.1f%%\n", c.Improvement())
+	if p.TraceHash {
+		fmt.Fprintln(w, "\ntrajectory hashes (replication: s-2PL g-2PL):")
+		for i := range c.S2PL.Runs {
+			fmt.Fprintf(w, "  %d: %s %s\n", i,
+				sim.FormatHash(c.S2PL.Runs[i].TrajectoryHash),
+				sim.FormatHash(c.G2PL.Runs[i].TrajectoryHash))
+		}
+	}
+	fmt.Fprintln(w)
+	return nil
+}
+
 func table1(sc Scale, w io.Writer) error {
-	p := core.DefaultParams()
+	p := sc.Base
 	rows := [][2]string{
 		{"Number of Servers", "1"},
 		{"Number of Clients", fmt.Sprintf("varying (default %d)", p.Clients)},
@@ -234,7 +203,7 @@ func figRTvsLatency(pr float64) func(Scale, io.Writer) error {
 			fmt.Sprintf("Mean transaction response time vs network latency, pr=%.1f (50 clients, 25 items)", pr),
 			"latency", "mean response time", curveG, curveS)
 		for _, lat := range netmodel.Latencies() {
-			p := baseParams(sc)
+			p := sc.Base
 			p.Latency = lat
 			p.Workload.ReadProb = pr
 			rt, _, err := comparePoint(p)
@@ -264,7 +233,7 @@ func figRTvsReadProb(lat sim.Time) func(Scale, io.Writer) error {
 			fmt.Sprintf("Mean transaction response time vs read probability, latency=%d", lat),
 			"read_prob", "mean response time", curveG, curveS)
 		for _, pr := range []float64{0, 0.2, 0.4, 0.6, 0.8, 0.9, 1.0} {
-			p := baseParams(sc)
+			p := sc.Base
 			p.Latency = lat
 			p.Workload.ReadProb = pr
 			rt, _, err := comparePoint(p)
@@ -283,7 +252,7 @@ func figAbortVsLatency(pr float64) func(Scale, io.Writer) error {
 			fmt.Sprintf("Percentage of transactions aborted vs network latency, pr=%.1f", pr),
 			"latency", "% aborted", curveG, curveS)
 		for _, lat := range netmodel.Latencies() {
-			p := baseParams(sc)
+			p := sc.Base
 			p.Latency = lat
 			p.Workload.ReadProb = pr
 			_, ab, err := comparePoint(p)
@@ -301,7 +270,7 @@ func fig10(sc Scale, w io.Writer) error {
 		"Percentage of transactions aborted vs latency, read-only system (g-2PL read deadlocks)",
 		"latency", "% aborted", curveG, curveS)
 	for _, lat := range []sim.Time{1, 3, 5, 7, 9, 11} {
-		p := baseParams(sc)
+		p := sc.Base
 		p.Latency = lat
 		p.Workload.ReadProb = 1.0
 		_, ab, err := comparePoint(p)
@@ -318,7 +287,7 @@ func fig11(sc Scale, w io.Writer) error {
 		"Percentage of transactions aborted vs forward-list length cap, read-only ss-LAN",
 		"fl_cap", "% aborted", curveG)
 	for _, cap := range []int{1, 2, 3, 4, 5, 7, 10} {
-		p := baseParams(sc)
+		p := sc.Base
 		p.Latency = 1
 		p.Workload.ReadProb = 1.0
 		p.MaxForwardList = cap
@@ -341,7 +310,7 @@ func figVsClients(pr float64, aborts bool) func(Scale, io.Writer) error {
 			fmt.Sprintf("%s vs number of clients, pr=%.2f, s-WAN (latency 500)", metric, pr),
 			"clients", metric, curveG, curveS)
 		for _, clients := range []int{10, 25, 50, 75, 100, 125, 150} {
-			p := baseParams(sc)
+			p := sc.Base
 			p.Clients = clients
 			p.Latency = 500
 			p.Workload.ReadProb = pr

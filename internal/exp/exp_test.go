@@ -1,14 +1,18 @@
 package exp
 
 import (
-	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/protocol"
 )
 
 // tiny returns a scale small enough to run every experiment in tests.
 func tiny() Scale {
-	return Scale{TargetCommits: 60, WarmupCommits: 10, Replications: 1, MaxTime: 10_000_000_000}
+	p := core.DefaultParams()
+	p.TargetCommits, p.WarmupCommits, p.Replications = 60, 10, 1
+	return Scale{Base: p}
 }
 
 func TestAllHaveUniqueIDs(t *testing.T) {
@@ -38,9 +42,6 @@ func TestByID(t *testing.T) {
 	}
 	if _, ok := ByID("nope"); ok {
 		t.Fatal("ByID accepted unknown id")
-	}
-	if len(IDs()) != len(All()) {
-		t.Fatal("IDs length mismatch")
 	}
 }
 
@@ -130,14 +131,49 @@ func TestShardedExperimentsRender(t *testing.T) {
 	}
 }
 
-func TestQuickAndPaperScales(t *testing.T) {
-	q, p := Quick(), Paper()
-	if q.TargetCommits >= p.TargetCommits {
-		t.Fatal("quick not quicker than paper")
-	}
-	if p.TargetCommits != 50000 || p.Replications != 5 {
-		t.Fatalf("paper scale wrong: %+v", p)
+// TestShardedExperimentsHonorPolicy: the sharded sweeps start from the
+// base point like every other experiment, so the deadlock policy it
+// carries must reach their runs — detect and no-wait abort differently.
+func TestShardedExperimentsHonorPolicy(t *testing.T) {
+	for _, id := range []string{"sharded-scaling", "sharded-hotshard"} {
+		e, _ := ByID(id)
+		out := map[protocol.DeadlockPolicy]string{}
+		for _, pol := range []protocol.DeadlockPolicy{protocol.PolicyDetect, protocol.PolicyNoWait} {
+			sc := tiny()
+			sc.Base.Deadlock = pol
+			var b strings.Builder
+			if err := e.Run(sc, &b); err != nil {
+				t.Fatal(err)
+			}
+			out[pol] = b.String()
+		}
+		if out[protocol.PolicyDetect] == out[protocol.PolicyNoWait] {
+			t.Errorf("%s prints the same output under detect and nowait:\n%s", id, out[protocol.PolicyDetect])
+		}
 	}
 }
 
-var _ = io.Discard
+// TestPointTraceHashes: the point experiment prints one digest pair per
+// replication when the base point hashes trajectories, and none otherwise.
+func TestPointTraceHashes(t *testing.T) {
+	e, ok := ByID("point")
+	if !ok {
+		t.Fatal("no point experiment")
+	}
+	for _, trace := range []bool{false, true} {
+		sc := tiny()
+		sc.Base.Replications = 2
+		sc.Base.TraceHash = trace
+		var b strings.Builder
+		if err := e.Run(sc, &b); err != nil {
+			t.Fatal(err)
+		}
+		out := b.String()
+		if !strings.Contains(out, "improvement over s-2PL") {
+			t.Fatalf("point output incomplete:\n%s", out)
+		}
+		if got := strings.Contains(out, "  1: "); got != trace {
+			t.Fatalf("trace=%v but hash rows present=%v:\n%s", trace, got, out)
+		}
+	}
+}

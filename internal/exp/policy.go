@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/protocol"
 	"repro/internal/stats"
 )
 
@@ -18,10 +19,10 @@ func policyMatrix(sc Scale, w io.Writer) error {
 	fmt.Fprintln(w, "Policy matrix: deadlock policy x protocol (pr=0.25, 50 clients, s-WAN)")
 	fmt.Fprintf(w, "  %-10s %-8s %-22s %-16s %-10s %s\n",
 		"policy", "protocol", "thru (commits/1k)", "% aborted", "p99 resp", "abort causes")
-	for _, pol := range engine.DeadlockPolicies() {
+	for _, pol := range protocol.DeadlockPolicies() {
 		name := pol.String()
 		for _, proto := range []engine.Protocol{engine.S2PL, engine.G2PL, engine.C2PL} {
-			p := baseParams(sc)
+			p := sc.Base
 			p.Workload.ReadProb = 0.25
 			p.Deadlock = pol
 			res, err := core.Run(p, proto)

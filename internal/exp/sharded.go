@@ -4,57 +4,31 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
-// The sharded experiments drive the multi-lock-server s-2PL engine
-// (DESIGN.md §13) directly: sharding is s-2PL-only, so there is a single
-// curve and the interesting output is the 2PC phase profile — prepares
-// per transaction, one-phase fast-path share, cross-shard ratio and
-// coordinator-side forced aborts — next to the usual response and abort
-// estimates.
+// The sharded experiments run the multi-lock-server s-2PL engine
+// (DESIGN.md §13) from the base point: sharding is s-2PL-only, so there is
+// a single curve and the interesting output is the 2PC phase profile —
+// prepares per transaction, one-phase fast-path share, cross-shard ratio
+// and coordinator-side forced aborts — next to the usual response and
+// abort estimates.
 
-// shardedConfig is the common experiment point: the Table 1 workload at
-// s-WAN latency, partitioned across k range shards.
-func shardedConfig(sc Scale, k int, cross float64) engine.Config {
-	return engine.Config{
-		Protocol:      engine.S2PL,
-		Clients:       50,
-		Latency:       500,
-		Workload:      workload.Default(),
-		Shards:        k,
-		CrossRatio:    cross,
-		TargetCommits: sc.TargetCommits,
-		WarmupCommits: sc.WarmupCommits,
-		MaxTime:       sc.MaxTime,
+// shardedPoint runs the base point partitioned across k range shards and
+// returns its s-2PL estimates with the 2PC counters summed over the
+// replications.
+func shardedPoint(p core.Params, k int, cross float64) (core.ProtocolResult, stats.TwoPC, error) {
+	p.Shards = k
+	p.CrossRatio = cross
+	res, err := core.Run(p, engine.S2PL)
+	var tpc stats.TwoPC
+	for _, run := range res.Runs {
+		tpc.Merge(run.TwoPC)
 	}
-}
-
-// shardedPoint replicates one sharded configuration under the standard
-// seed schedule and aggregates estimates plus summed 2PC counters.
-func shardedPoint(sc Scale, cfg engine.Config) (rt, ab stats.Estimate, tpc stats.TwoPC, err error) {
-	var resp, abort []float64
-	for rep := 0; rep < sc.Replications; rep++ {
-		cfg.Seed = 1 + uint64(rep)*0x9e3779b9
-		res, runErr := engine.Run(cfg)
-		if runErr != nil {
-			return rt, ab, tpc, fmt.Errorf("exp: sharded replication %d: %w", rep, runErr)
-		}
-		resp = append(resp, res.MeanResponse())
-		abort = append(abort, res.AbortPct())
-		tpc.Prepares += res.TwoPC.Prepares
-		tpc.VotesYes += res.TwoPC.VotesYes
-		tpc.VotesNo += res.TwoPC.VotesNo
-		tpc.Commits += res.TwoPC.Commits
-		tpc.Aborts += res.TwoPC.Aborts
-		tpc.OnePhase += res.TwoPC.OnePhase
-		tpc.ForcedAborts += res.TwoPC.ForcedAborts
-		tpc.CrossTxns += res.TwoPC.CrossTxns
-		tpc.Txns += res.TwoPC.Txns
-	}
-	return stats.FromReplications(resp), stats.FromReplications(abort), tpc, nil
+	return res, tpc, err
 }
 
 // shardedScaling sweeps the shard count at a fixed cross-shard ratio.
@@ -74,7 +48,7 @@ func shardedScaling(sc Scale, w io.Writer) error {
 	fmt.Fprintf(w, "  %-4s %-20s %-16s %-8s %-10s %-10s %s\n",
 		"K", "mean response", "% aborted", "cross", "prep/txn", "1phase%", "forced-aborts")
 	for _, k := range ks {
-		rt, ab, tpc, err := shardedPoint(sc, shardedConfig(sc, k, cross))
+		res, tpc, err := shardedPoint(sc.Base, k, cross)
 		if err != nil {
 			return err
 		}
@@ -84,7 +58,7 @@ func shardedScaling(sc Scale, w io.Writer) error {
 			onePhasePct = 100 * float64(tpc.OnePhase) / float64(tpc.Txns)
 		}
 		fmt.Fprintf(w, "  %-4d %-20s %-16s %-8.2f %-10.2f %-10.1f %d\n",
-			k, rt, ab, tpc.CrossRatio(), prepPerTxn, onePhasePct, tpc.ForcedAborts)
+			k, res.Response, res.AbortPct, tpc.CrossRatio(), prepPerTxn, onePhasePct, tpc.ForcedAborts)
 	}
 	fmt.Fprintln(w)
 	return nil
@@ -121,17 +95,17 @@ func shardedHotShard(sc Scale, w io.Writer) error {
 		}{fmt.Sprintf("zipf(%.2f)", th), th})
 	}
 	for _, row := range rows {
-		cfg := shardedConfig(sc, k, cross)
+		p := sc.Base
 		if row.theta > 0 {
-			cfg.Workload.Access = workload.Zipf
-			cfg.Workload.ZipfTheta = row.theta
+			p.Workload.Access = workload.Zipf
+			p.Workload.ZipfTheta = row.theta
 		}
-		rt, ab, tpc, err := shardedPoint(sc, cfg)
+		res, tpc, err := shardedPoint(p, k, cross)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "  %-14s %-20s %-16s %-8.2f %d\n",
-			row.name, rt, ab, tpc.CrossRatio(), tpc.ForcedAborts)
+			row.name, res.Response, res.AbortPct, tpc.CrossRatio(), tpc.ForcedAborts)
 	}
 	fmt.Fprintln(w)
 	return nil

@@ -439,17 +439,9 @@ func (c *client) commitSharded(t *liveTxn) {
 	t.committing = true
 	rec, writes := t.record()
 	writesBy := make(map[int][]writeUpdate)
-	delta := int64(t.id%7) + 1
 	for i, w := range writes {
 		if c.cl.cfg.Bank {
-			// A deterministic transfer between the transaction's two
-			// accounts: debit the first, credit the second by the same
-			// amount, preserving the global balance sum.
-			if i == 0 {
-				w.value = t.vals[i] - delta
-			} else {
-				w.value = t.vals[i] + delta
-			}
+			w.value = workload.Transfer(t.id, i, t.vals[i])
 		}
 		s := c.cl.smap.Of(w.item)
 		writesBy[s] = append(writesBy[s], w)

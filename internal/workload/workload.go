@@ -157,6 +157,18 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// Transfer is the bank workload's one rule: transaction txn moves txn%7+1
+// from its first account (idx 0) to its second, so this returns the new
+// balance of the idx-th account given its granted balance. Every
+// serializable execution therefore conserves the global balance sum.
+func Transfer(txn ids.Txn, idx int, balance int64) int64 {
+	delta := int64(txn%7) + 1
+	if idx == 0 {
+		return balance - delta
+	}
+	return balance + delta
+}
+
 // Op is one data access of a transaction.
 type Op struct {
 	Item  ids.Item

@@ -21,6 +21,18 @@ lint_end=$(date +%s)
 echo "repolint: full-module JSON pass took $((lint_end - lint_start))s," \
 	"$(grep -c '"check"' artifacts/repolint.json || true) finding(s) archived"
 
+# The DES command must print the same bytes for the same flags: two
+# traced runs of one point, timing lines dropped, compared with diff.
+echo "== DES command determinism: experiments -id point, twice =="
+des_dir=$(mktemp -d)
+go build -o "$des_dir/experiments" ./cmd/experiments
+for run in a b; do
+	"$des_dir/experiments" -id point -commits 500 -reps 2 -trace |
+		grep -v '^   (' >"$des_dir/$run.txt"
+done
+diff "$des_dir/a.txt" "$des_dir/b.txt"
+rm -rf "$des_dir"
+
 echo "== race detector: live cluster + history audit =="
 make race
 
