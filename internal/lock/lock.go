@@ -5,9 +5,16 @@
 // The manager is purely a data structure — it performs no I/O and knows
 // nothing about time; the s-2PL engine drives it from simulation events
 // and the live system drives it from goroutines under its own mutex.
+//
+// Every fact about a transaction lives in one record: its held locks as a
+// slice sorted by item and its one queued request. Records and per-item
+// states are recycled through free lists, and Release and CancelWait
+// return a buffer the manager owns, so a steady-state acquire, block,
+// grant or release allocates nothing.
 package lock
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
@@ -44,8 +51,44 @@ type Grant struct {
 	Mode Mode
 }
 
+// Held is one lock a transaction holds.
+type Held struct {
+	Item ids.Item
+	Mode Mode
+}
+
+// txnLocks is one transaction's record, present exactly while the
+// transaction holds or waits for a lock.
+type txnLocks struct {
+	id   ids.Txn
+	held []Held // ascending by item: the order Release frees them in
+	// wait is the item of the one queued request, valid while waiting:
+	// the paper's clients execute sequentially, requesting one item at a
+	// time.
+	wait    ids.Item
+	waiting bool
+}
+
+// findHeld returns item's index in the sorted held slice, or the
+// insertion point and false.
+func (t *txnLocks) findHeld(item ids.Item) (int, bool) {
+	return slices.BinarySearchFunc(t.held, item, func(h Held, it ids.Item) int { return cmp.Compare(h.Item, it) })
+}
+
+// setHeld records a granted lock, keeping the slice sorted.
+func (t *txnLocks) setHeld(item ids.Item, mode Mode) {
+	i, ok := t.findHeld(item)
+	if ok {
+		t.held[i].Mode = mode
+		return
+	}
+	t.held = slices.Insert(t.held, i, Held{item, mode})
+}
+
+// request is one queued lock request. The record outlives the request,
+// so promotion reaches the requester without a lookup.
 type request struct {
-	txn  ids.Txn
+	rec  *txnLocks
 	mode Mode
 }
 
@@ -88,46 +131,82 @@ func (s *itemState) setHolder(txn ids.Txn, mode Mode) {
 		s.holders[i].mode = mode
 		return
 	}
-	s.holders = append(s.holders, holderEntry{})
-	copy(s.holders[i+1:], s.holders[i:])
-	s.holders[i] = holderEntry{txn: txn, mode: mode}
+	s.holders = slices.Insert(s.holders, i, holderEntry{txn: txn, mode: mode})
 }
 
 // removeHolder deletes txn's holder entry, if present.
 func (s *itemState) removeHolder(txn ids.Txn) {
 	if i, ok := s.findHolder(txn); ok {
-		s.holders = append(s.holders[:i], s.holders[i+1:]...)
+		s.holders = slices.Delete(s.holders, i, i+1)
 	}
+}
+
+// compatibleWithHolders reports whether a mode request can join the
+// current holders.
+func (s *itemState) compatibleWithHolders(mode Mode) bool {
+	if mode == Exclusive {
+		return len(s.holders) == 0
+	}
+	for _, h := range s.holders {
+		if h.mode == Exclusive {
+			return false
+		}
+	}
+	return true
 }
 
 // Manager is a lock table over data items. The zero value is not usable;
 // construct with NewManager.
 type Manager struct {
-	items map[ids.Item]*itemState
-	// held tracks, per transaction, which items it holds locks on, so
-	// Release/Drop are O(locks held) rather than O(table).
-	held map[ids.Txn]map[ids.Item]Mode
-	// waiting tracks at most one queued request per transaction: the
-	// paper's clients execute sequentially, requesting one item at a time.
-	waiting map[ids.Txn]ids.Item
+	items map[ids.Item]*itemState // exactly the items held or waited for
+	txns  map[ids.Txn]*txnLocks   // exactly the transactions holding or waiting
+	// Recycled states and records, empty and ready for their next owner.
+	freeItems []*itemState
+	freeTxns  []*txnLocks
+	grants    []Grant // Release's and CancelWait's result, reused by the next call
 }
 
 // NewManager returns an empty lock table.
 func NewManager() *Manager {
 	return &Manager{
-		items:   make(map[ids.Item]*itemState),
-		held:    make(map[ids.Txn]map[ids.Item]Mode),
-		waiting: make(map[ids.Txn]ids.Item),
+		items: make(map[ids.Item]*itemState),
+		txns:  make(map[ids.Txn]*txnLocks),
 	}
 }
 
 func (m *Manager) state(item ids.Item) *itemState {
 	s := m.items[item]
 	if s == nil {
-		s = &itemState{}
+		if n := len(m.freeItems); n > 0 {
+			s, m.freeItems = m.freeItems[n-1], m.freeItems[:n-1]
+		} else {
+			s = &itemState{}
+		}
 		m.items[item] = s
 	}
 	return s
+}
+
+// record returns txn's record, taking a recycled one if it has none.
+func (m *Manager) record(txn ids.Txn) *txnLocks {
+	t := m.txns[txn]
+	if t == nil {
+		if n := len(m.freeTxns); n > 0 {
+			t, m.freeTxns = m.freeTxns[n-1], m.freeTxns[:n-1]
+		} else {
+			t = &txnLocks{}
+		}
+		t.id = txn
+		m.txns[txn] = t
+	}
+	return t
+}
+
+// retire recycles a record that holds and waits for nothing.
+func (m *Manager) retire(t *txnLocks) {
+	delete(m.txns, t.id)
+	t.held = t.held[:0]
+	m.freeTxns = append(m.freeTxns, t)
 }
 
 // Acquire requests a lock and reports whether it was granted immediately.
@@ -140,170 +219,117 @@ func (m *Manager) state(item ids.Item) *itemState {
 // paper's sequential execution model); violating that panics, since it
 // indicates an engine bug rather than an input error.
 func (m *Manager) Acquire(txn ids.Txn, item ids.Item, mode Mode) bool {
-	if it, ok := m.waiting[txn]; ok {
-		panic(fmt.Sprintf("lock: %v requested %v while already waiting on %v", txn, item, it))
+	t := m.record(txn)
+	if t.waiting {
+		panic(fmt.Sprintf("lock: %v requested %v while already waiting on %v", txn, item, t.wait))
 	}
 	s := m.state(item)
 	if cur, holds := s.holderMode(txn); holds {
 		if cur == Exclusive || mode == Shared {
 			return true // already sufficient
 		}
-		// Upgrade S -> X.
+		// Upgrade S -> X: at once only as the sole holder.
 		if len(s.holders) == 1 {
 			s.setHolder(txn, Exclusive)
-			m.held[txn][item] = Exclusive
+			t.setHeld(item, Exclusive)
 			return true
 		}
-		s.queue = append(s.queue, request{txn, Exclusive})
-		m.waiting[txn] = item
-		return false
-	}
-	if len(s.queue) == 0 && m.compatibleWithHolders(s, mode) {
-		m.grant(s, txn, item, mode)
+	} else if len(s.queue) == 0 && s.compatibleWithHolders(mode) {
+		s.setHolder(txn, mode)
+		t.setHeld(item, mode)
 		return true
 	}
-	s.queue = append(s.queue, request{txn, mode})
-	m.waiting[txn] = item
+	s.queue = append(s.queue, request{t, mode})
+	t.wait, t.waiting = item, true
 	return false
-}
-
-func (m *Manager) compatibleWithHolders(s *itemState, mode Mode) bool {
-	if mode == Exclusive {
-		return len(s.holders) == 0
-	}
-	for _, h := range s.holders {
-		if h.mode == Exclusive {
-			return false
-		}
-	}
-	return true
-}
-
-func (m *Manager) grant(s *itemState, txn ids.Txn, item ids.Item, mode Mode) {
-	s.setHolder(txn, mode)
-	h := m.held[txn]
-	if h == nil {
-		h = make(map[ids.Item]Mode)
-		m.held[txn] = h
-	}
-	h[item] = mode
 }
 
 // promote grants queued requests that are now compatible, preserving FIFO
 // order: it stops at the first request that conflicts with the (possibly
 // just-extended) holder set, so writers are never starved by late readers.
-func (m *Manager) promote(item ids.Item, s *itemState) []Grant {
-	var grants []Grant
-	for len(s.queue) > 0 {
-		r := s.queue[0]
-		if cur, holds := s.holderMode(r.txn); holds {
+// The grants are appended to m.grants.
+func (m *Manager) promote(item ids.Item, s *itemState) {
+	n := 0
+	for ; n < len(s.queue); n++ {
+		r := s.queue[n]
+		if cur, holds := s.holderMode(r.rec.id); holds {
 			// Queued upgrade: grantable only as sole holder.
-			if cur == Shared && r.mode == Exclusive && len(s.holders) == 1 {
-				s.setHolder(r.txn, Exclusive)
-				m.held[r.txn][item] = Exclusive
-				delete(m.waiting, r.txn)
-				grants = append(grants, Grant{r.txn, item, Exclusive})
-				s.queue = s.queue[1:]
-				continue
+			if cur != Shared || r.mode != Exclusive || len(s.holders) != 1 {
+				break
 			}
+		} else if !s.compatibleWithHolders(r.mode) {
 			break
 		}
-		if !m.compatibleWithHolders(s, r.mode) {
-			break
-		}
-		m.grant(s, r.txn, item, r.mode)
-		delete(m.waiting, r.txn)
-		grants = append(grants, Grant{r.txn, item, r.mode})
-		s.queue = s.queue[1:]
+		s.setHolder(r.rec.id, r.mode)
+		r.rec.setHeld(item, r.mode)
+		r.rec.waiting = false
+		m.grants = append(m.grants, Grant{r.rec.id, item, r.mode})
+	}
+	if n > 0 {
+		k := copy(s.queue, s.queue[n:])
+		clear(s.queue[k:])
+		s.queue = s.queue[:k]
 	}
 	if len(s.queue) == 0 && len(s.holders) == 0 {
 		delete(m.items, item)
+		m.freeItems = append(m.freeItems, s)
 	}
-	return grants
 }
 
-// Release frees every lock held by txn and removes any queued request it
-// has, returning the requests that become granted as a result. This is the
-// shrinking phase of strict 2PL: all locks go at commit or abort.
-// Items release in ascending order so runs are deterministic.
-func (m *Manager) Release(txn ids.Txn) []Grant {
-	var grants []Grant
-	if item, ok := m.waiting[txn]; ok {
-		m.removeQueued(txn, item)
-	}
-	for _, item := range m.itemsHeldSorted(txn) {
-		s := m.items[item]
-		s.removeHolder(txn)
-		grants = append(grants, m.promote(item, s)...)
-	}
-	delete(m.held, txn)
-	return grants
-}
-
-// itemsHeldSorted returns the items txn holds locks on in ascending order,
-// giving Release and Drop a deterministic grant order regardless of map
-// iteration.
-func (m *Manager) itemsHeldSorted(txn ids.Txn) []ids.Item {
-	out := make([]ids.Item, 0, len(m.held[txn]))
-	//repolint:allow maprange -- keys are sorted before use
-	for item := range m.held[txn] {
-		out = append(out, item)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func (m *Manager) removeQueued(txn ids.Txn, item ids.Item) {
-	s := m.items[item]
-	if s == nil {
-		return
-	}
+// withdraw removes t's queued request and promotes the requests it held
+// back.
+func (m *Manager) withdraw(t *txnLocks) {
+	s := m.items[t.wait]
 	for i, r := range s.queue {
-		if r.txn == txn {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
+		if r.rec == t {
+			s.queue = slices.Delete(s.queue, i, i+1)
 			break
 		}
 	}
-	delete(m.waiting, txn)
-	// Removing a queue head (e.g. a blocked writer) can unblock others.
-	_ = s // grants from this path are returned by the caller via promote
+	t.waiting = false
+	m.promote(t.wait, s)
+}
+
+// Release ends txn inside the lock table, at commit or abort alike: its
+// queued request disappears, promoting the requests behind it, then
+// every held lock is freed in ascending item order (the shrinking phase
+// of strict 2PL), and the requests that become granted are returned in
+// that order. The returned slice is owned by the manager and valid until
+// its next call.
+func (m *Manager) Release(txn ids.Txn) []Grant {
+	m.grants = m.grants[:0]
+	t := m.txns[txn]
+	if t == nil {
+		return nil
+	}
+	if t.waiting {
+		m.withdraw(t)
+	}
+	for _, h := range t.held {
+		s := m.items[h.Item]
+		s.removeHolder(txn)
+		m.promote(h.Item, s)
+	}
+	m.retire(t)
+	return m.grants
 }
 
 // CancelWait removes txn's queued (ungranted) request, if any, returning
 // requests that become grantable as a result. Held locks are untouched —
 // in a data-shipping system they release only when the client's abort
-// round trip completes.
+// round trip completes. The returned slice is owned by the manager and
+// valid until its next call.
 func (m *Manager) CancelWait(txn ids.Txn) []Grant {
-	item, ok := m.waiting[txn]
-	if !ok {
+	m.grants = m.grants[:0]
+	t := m.txns[txn]
+	if t == nil || !t.waiting {
 		return nil
 	}
-	m.removeQueued(txn, item)
-	if s := m.items[item]; s != nil {
-		return m.promote(item, s)
+	m.withdraw(t)
+	if len(t.held) == 0 {
+		m.retire(t)
 	}
-	return nil
-}
-
-// Drop aborts txn inside the lock table: its queued request disappears and
-// its held locks are released. It returns newly granted requests. Drop and
-// Release are distinct names because engines treat them differently
-// (commit vs abort) even though the table-level effect is the same.
-func (m *Manager) Drop(txn ids.Txn) []Grant {
-	var grants []Grant
-	if item, ok := m.waiting[txn]; ok {
-		m.removeQueued(txn, item)
-		if s := m.items[item]; s != nil {
-			grants = append(grants, m.promote(item, s)...)
-		}
-	}
-	for _, item := range m.itemsHeldSorted(txn) {
-		s := m.items[item]
-		s.removeHolder(txn)
-		grants = append(grants, m.promote(item, s)...)
-	}
-	delete(m.held, txn)
-	return grants
+	return m.grants
 }
 
 // HoldersOf returns the transactions currently holding a lock on item, in
@@ -324,53 +350,50 @@ func (m *Manager) HoldersOf(item ids.Item) []ids.Txn {
 // HeldCount returns how many items txn currently holds locks on, without
 // copying the held set (deadlock victim selection calls this per cycle
 // member).
-func (m *Manager) HeldCount(txn ids.Txn) int { return len(m.held[txn]) }
+func (m *Manager) HeldCount(txn ids.Txn) int { return len(m.Held(txn)) }
 
-// HeldBy returns the items txn currently holds locks on, with modes.
-func (m *Manager) HeldBy(txn ids.Txn) map[ids.Item]Mode {
-	out := make(map[ids.Item]Mode, len(m.held[txn]))
-	maps.Copy(out, m.held[txn])
-	return out
+// Held returns the locks txn holds in ascending item order. The slice is
+// the manager's own: read it before the next call that changes the table.
+func (m *Manager) Held(txn ids.Txn) []Held {
+	if t := m.txns[txn]; t != nil {
+		return t.held
+	}
+	return nil
 }
 
 // Waiting returns the item txn is queued on, if any.
 func (m *Manager) Waiting(txn ids.Txn) (ids.Item, bool) {
-	it, ok := m.waiting[txn]
-	return it, ok
+	if t := m.txns[txn]; t != nil && t.waiting {
+		return t.wait, true
+	}
+	return 0, false
 }
 
-// WaitsFor returns the transactions that block txn's pending request: the
-// current holders whose locks conflict with it, plus conflicting requests
-// queued ahead of it. These are exactly the wait-for-graph edges the s-2PL
-// deadlock detector needs (paper §4).
-func (m *Manager) WaitsFor(txn ids.Txn) []ids.Txn {
-	item, ok := m.waiting[txn]
-	if !ok {
-		return nil
+// WaitsFor returns the transactions that block txn's pending request; see
+// AppendWaitsFor.
+func (m *Manager) WaitsFor(txn ids.Txn) []ids.Txn { return m.AppendWaitsFor(nil, txn) }
+
+// AppendWaitsFor appends to dst the transactions that block txn's pending
+// request: the current holders whose locks conflict with it, plus
+// conflicting requests queued ahead of it, each once. These are exactly
+// the wait-for-graph edges the s-2PL deadlock detector needs (paper §4).
+// It returns dst unchanged when txn is not waiting.
+func (m *Manager) AppendWaitsFor(dst []ids.Txn, txn ids.Txn) []ids.Txn {
+	t := m.txns[txn]
+	if t == nil || !t.waiting {
+		return dst
 	}
-	s := m.items[item]
-	var mode Mode
-	pos := -1
-	for i, r := range s.queue {
-		if r.txn == txn {
-			mode, pos = r.mode, i
-			break
-		}
-	}
+	s := m.items[t.wait]
+	pos := slices.IndexFunc(s.queue, func(r request) bool { return r.rec == t })
 	if pos < 0 {
-		return nil
+		return dst
 	}
-	var out []ids.Txn
-	add := func(t ids.Txn) {
-		if t == txn {
-			return // upgrade case: own shared lock does not block itself
+	mode, start := s.queue[pos].mode, len(dst)
+	add := func(b ids.Txn) {
+		// The upgrade case's own shared lock does not block itself.
+		if b != txn && !slices.Contains(dst[start:], b) {
+			dst = append(dst, b)
 		}
-		for _, have := range out {
-			if have == t {
-				return
-			}
-		}
-		out = append(out, t)
 	}
 	// Conflicting holders first — the holder slice is kept in ascending id
 	// order, so the stored edge list is deterministic without sorting —
@@ -382,10 +405,10 @@ func (m *Manager) WaitsFor(txn ids.Txn) []ids.Txn {
 	}
 	for _, r := range s.queue[:pos] {
 		if !Compatible(r.mode, mode) {
-			add(r.txn)
+			add(r.rec.id)
 		}
 	}
-	return out
+	return dst
 }
 
 // QueueLen returns the number of queued (ungranted) requests on item.
@@ -398,9 +421,9 @@ func (m *Manager) QueueLen(item ids.Item) int {
 }
 
 // Validate checks internal invariants: holder sets are mode-compatible,
-// held/waiting indexes agree with the per-item states. It returns an error
-// describing the first violation. Tests and the live system's debug mode
-// call this; engines do not, for speed.
+// and the per-transaction records agree with the per-item states. It
+// returns an error describing the first violation. Tests and the live
+// system's debug mode call this; engines do not, for speed.
 func (m *Manager) Validate() error {
 	// Sorted iteration keeps the reported first violation stable run to run.
 	for _, item := range slices.Sorted(maps.Keys(m.items)) {
@@ -413,7 +436,7 @@ func (m *Manager) Validate() error {
 			if h.mode == Exclusive {
 				writers++
 			}
-			if m.held[h.txn][item] != h.mode {
+			if t := m.txns[h.txn]; t == nil || !slices.Contains(t.held, Held{item, h.mode}) {
 				return fmt.Errorf("lock: held index disagrees for %v on %v", h.txn, item)
 			}
 		}
@@ -423,21 +446,20 @@ func (m *Manager) Validate() error {
 			return fmt.Errorf("lock: incompatible holders on %v", item)
 		}
 		for _, r := range s.queue {
-			if it, ok := m.waiting[r.txn]; !ok || it != item {
-				return fmt.Errorf("lock: waiting index disagrees for %v on %v", r.txn, item)
+			if m.txns[r.rec.id] != r.rec || !r.rec.waiting || r.rec.wait != item {
+				return fmt.Errorf("lock: waiting index disagrees for %v on %v", r.rec.id, item)
 			}
 		}
 	}
-	for _, t := range slices.Sorted(maps.Keys(m.held)) {
-		items := m.held[t]
-		for _, item := range slices.Sorted(maps.Keys(items)) {
-			mode := items[item]
-			s := m.items[item]
-			if s == nil {
-				return fmt.Errorf("lock: stale held entry %v on %v", t, item)
-			}
-			if got, ok := s.holderMode(t); !ok || got != mode {
-				return fmt.Errorf("lock: stale held entry %v on %v", t, item)
+	for _, id := range slices.Sorted(maps.Keys(m.txns)) {
+		t := m.txns[id]
+		if t.id != id || (len(t.held) == 0 && !t.waiting) {
+			return fmt.Errorf("lock: record of %v filed under %v or empty", t.id, id)
+		}
+		for i, h := range t.held {
+			s := m.items[h.Item]
+			if s == nil || !slices.Contains(s.holders, holderEntry{id, h.Mode}) || (i > 0 && t.held[i-1].Item >= h.Item) {
+				return fmt.Errorf("lock: stale or unsorted held entry %v on %v", id, h.Item)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package lock
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -125,8 +126,8 @@ func TestUpgradeSoleHolder(t *testing.T) {
 	if !m.Acquire(1, 10, Exclusive) {
 		t.Fatal("upgrade as sole holder not granted")
 	}
-	if got := m.HeldBy(1)[10]; got != Exclusive {
-		t.Fatalf("mode after upgrade = %v", got)
+	if got := m.Held(1); len(got) != 1 || got[0] != (Held{10, Exclusive}) {
+		t.Fatalf("held after upgrade = %v", got)
 	}
 	if m.Acquire(2, 10, Shared) {
 		t.Fatal("shared granted under upgraded exclusive")
@@ -144,8 +145,8 @@ func TestUpgradeWithOtherReadersWaits(t *testing.T) {
 	if len(grants) != 1 || grants[0].Txn != 1 || grants[0].Mode != Exclusive {
 		t.Fatalf("upgrade grant = %v", grants)
 	}
-	if got := m.HeldBy(1)[10]; got != Exclusive {
-		t.Fatalf("mode = %v", got)
+	if got := m.Held(1); len(got) != 1 || got[0] != (Held{10, Exclusive}) {
+		t.Fatalf("held = %v", got)
 	}
 }
 
@@ -161,12 +162,12 @@ func TestDoubleWaitPanics(t *testing.T) {
 	m.Acquire(2, 20, Exclusive)
 }
 
-func TestDropWaiter(t *testing.T) {
+func TestReleaseWaiter(t *testing.T) {
 	m := NewManager()
 	m.Acquire(1, 10, Exclusive)
 	m.Acquire(2, 10, Exclusive)
 	m.Acquire(3, 10, Shared)
-	grants := m.Drop(2) // aborting the queued writer should not grant 3 yet
+	grants := m.Release(2) // aborting the queued writer should not grant 3 yet
 	if len(grants) != 0 {
 		t.Fatalf("grants = %v (holder 1 still present)", grants)
 	}
@@ -176,22 +177,11 @@ func TestDropWaiter(t *testing.T) {
 	}
 }
 
-func TestDropWaiterUnblocksQueue(t *testing.T) {
-	m := NewManager()
-	m.Acquire(1, 10, Shared)
-	m.Acquire(2, 10, Exclusive) // queued writer
-	m.Acquire(3, 10, Shared)    // queued behind writer
-	grants := m.Drop(2)
-	if len(grants) != 1 || grants[0].Txn != 3 || grants[0].Mode != Shared {
-		t.Fatalf("dropping queued writer should promote reader: %v", grants)
-	}
-}
-
-func TestDropHolder(t *testing.T) {
+func TestReleaseHolder(t *testing.T) {
 	m := NewManager()
 	m.Acquire(1, 10, Exclusive)
 	m.Acquire(2, 10, Exclusive)
-	grants := m.Drop(1)
+	grants := m.Release(1)
 	if len(grants) != 1 || grants[0].Txn != 2 {
 		t.Fatalf("grants = %v", grants)
 	}
@@ -230,13 +220,22 @@ func TestWaitsForUpgradeIgnoresSelf(t *testing.T) {
 	}
 }
 
-func TestHeldByIsCopy(t *testing.T) {
+func TestHeldAscending(t *testing.T) {
 	m := NewManager()
-	m.Acquire(1, 10, Shared)
-	h := m.HeldBy(1)
-	h[99] = Exclusive
-	if len(m.HeldBy(1)) != 1 {
-		t.Fatal("HeldBy returned internal map")
+	for _, item := range []ids.Item{30, 10, 20} {
+		m.Acquire(1, item, Shared)
+	}
+	m.Acquire(1, 20, Exclusive) // sole holder: upgrades in place
+	want := []Held{{10, Shared}, {20, Exclusive}, {30, Shared}}
+	if got := m.Held(1); !slices.Equal(got, want) {
+		t.Fatalf("Held(1) = %v, want %v", got, want)
+	}
+	if got := m.HeldCount(1); got != 3 {
+		t.Fatalf("HeldCount(1) = %d", got)
+	}
+	m.Release(1)
+	if got := m.Held(1); len(got) != 0 {
+		t.Fatalf("Held after release = %v", got)
 	}
 }
 
@@ -261,7 +260,7 @@ func TestItemStateGarbageCollected(t *testing.T) {
 	}
 }
 
-// Property: after any sequence of acquire/release/drop operations the
+// Property: after any sequence of acquire/release/cancel operations the
 // manager's invariants hold and no transaction both holds and waits in a
 // contradictory state.
 func TestRandomOpsInvariant(t *testing.T) {
@@ -295,7 +294,7 @@ func TestRandomOpsInvariant(t *testing.T) {
 				}
 				delete(blocked, txn)
 			case 2:
-				for _, g := range m.Drop(txn) {
+				for _, g := range m.CancelWait(txn) {
 					delete(blocked, g.Txn)
 				}
 				delete(blocked, txn)
@@ -349,5 +348,18 @@ func TestCancelWaitUnblocksQueue(t *testing.T) {
 	grants := m.CancelWait(2)
 	if len(grants) != 1 || grants[0].Txn != 3 || grants[0].Mode != Shared {
 		t.Fatalf("canceling the queued writer should promote the reader: %v", grants)
+	}
+}
+
+// TestReleaseWaiterUnblocksQueue withdraws a queued writer by releasing
+// it: the compatible reader queued behind it must be granted at once.
+func TestReleaseWaiterUnblocksQueue(t *testing.T) {
+	m := NewManager()
+	m.Acquire(1, 10, Shared)
+	m.Acquire(2, 10, Exclusive) // queued writer
+	m.Acquire(3, 10, Shared)    // queued behind writer
+	grants := m.Release(2)
+	if len(grants) != 1 || grants[0].Txn != 3 || grants[0].Mode != Shared {
+		t.Fatalf("releasing the queued writer should promote the reader: %v", grants)
 	}
 }

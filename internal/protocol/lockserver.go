@@ -64,19 +64,40 @@ type LockAction struct {
 // wait-for graph, the blocked set and deadlock resolution. Events come in
 // through Request, CommitRelease and AbortRelease; the returned actions
 // must be emitted in order.
+//
+// Every fact about a transaction lives in one recycled record, and the
+// action lists are carved from a slab the core owns, so a steady-state
+// request, grant, block, abort or release allocates nothing of its own. A
+// returned list is never written again: a driver may keep it while it
+// calls the core anew.
 type LockServer struct {
 	policy   VictimPolicy
 	deadlock DeadlockPolicy
 	locks    *lock.Manager
 	waits    *wfg.Graph
-	blocked  map[ids.Txn][]ids.Txn // stored wait edges per blocked txn
-	req      map[ids.Txn]LockRequest
-	live     map[ids.Txn]bool
-	doomed   map[ids.Txn]bool       // abort notice in flight, release not yet back
-	shielded map[ids.Txn]bool       // voted yes in 2PC: wound-immune until decided
-	ts       map[ids.Txn]ids.Txn    // priority timestamps (Wait-Die/Wound-Wait)
-	client   map[ids.Txn]ids.Client // destination for wound notices
+	txns     map[ids.Txn]*lsTxn
+	free     []*lsTxn     // recycled records: no fact set, edges emptied
+	nblocked int          // records with blocked set
+	out      []LockAction // unused rest of the slab the next action list is carved from
+	blockers []ids.Txn    // judgeBlocked scratch: the requester's blockers
+	bts      []ids.Txn    // judgeBlocked scratch: their timestamps
 	causes   stats.AbortCauses
+}
+
+// lsTxn is everything the core knows about one transaction. Each flag is
+// one fact's lifetime, and the record lives while any of them holds.
+type lsTxn struct {
+	id       ids.Txn
+	client   ids.Client  // while known: destination for wound notices
+	ts       ids.Txn     // while known: priority timestamp (Wait-Die/Wound-Wait)
+	req      LockRequest // while queued: the request awaiting a grant or an abort
+	edges    []ids.Txn   // while blocked: the stored wait edges
+	known    bool        // from a request or adoption until the locks release
+	live     bool
+	queued   bool
+	blocked  bool
+	doomed   bool // abort notice in flight, release not yet back
+	shielded bool // voted yes in 2PC: wound-immune until decided
 }
 
 // NewLockServer returns an empty s-2PL core using the given deadlock
@@ -89,14 +110,42 @@ func NewLockServer(policy VictimPolicy, deadlock DeadlockPolicy) *LockServer {
 		deadlock: deadlock,
 		locks:    lock.NewManager(),
 		waits:    wfg.New(),
-		blocked:  make(map[ids.Txn][]ids.Txn),
-		req:      make(map[ids.Txn]LockRequest),
-		live:     make(map[ids.Txn]bool),
-		doomed:   make(map[ids.Txn]bool),
-		shielded: make(map[ids.Txn]bool),
-		ts:       make(map[ids.Txn]ids.Txn),
-		client:   make(map[ids.Txn]ids.Client),
+		txns:     make(map[ids.Txn]*lsTxn),
 	}
+}
+
+// record returns txn's record, taking a recycled one if it has none.
+func (s *LockServer) record(txn ids.Txn) *lsTxn {
+	t := s.txns[txn]
+	if t == nil {
+		if n := len(s.free); n > 0 {
+			t, s.free = s.free[n-1], s.free[:n-1]
+		} else {
+			t = &lsTxn{}
+		}
+		t.id = txn
+		s.txns[txn] = t
+	}
+	return t
+}
+
+// actions returns an empty action list whose appends fill the slab, a
+// fresh one of 64 actions when fewer than 8 are left.
+func (s *LockServer) actions() []LockAction {
+	if cap(s.out) < 8 {
+		s.out = make([]LockAction, 0, 64)
+	}
+	return s.out
+}
+
+// seal hands a finished action list to the caller, capped so an append
+// cannot reach the slab space behind it, which the next list takes.
+func (s *LockServer) seal(acts []LockAction) []LockAction {
+	if len(acts) == 0 {
+		return nil
+	}
+	s.out = acts[len(acts):]
+	return acts[:len(acts):len(acts)]
 }
 
 // Request handles an arriving lock request: acquire or block, with
@@ -105,41 +154,39 @@ func NewLockServer(policy VictimPolicy, deadlock DeadlockPolicy) *LockServer {
 // each abort first granting whatever the victim's cancelled request
 // unblocked, then emitting the abort notice.
 func (s *LockServer) Request(q LockRequest) []LockAction {
-	if s.deadlock.Avoidance() && s.doomed[q.Txn] {
+	t := s.record(q.Txn)
+	if s.deadlock.Avoidance() && t.doomed {
 		// A wound notice is in flight to this still-running transaction;
 		// ignoring the request (rather than re-animating the victim) lets
 		// the client unwind when the notice lands. Unreachable under
 		// detection, whose victims are always blocked and silent.
 		return nil
 	}
-	s.live[q.Txn] = true
-	s.client[q.Txn] = q.Client
-	ts := q.Ts
-	if ts == 0 {
-		ts = q.Txn
+	t.live, t.known, t.client, t.ts = true, true, q.Client, q.Ts
+	if t.ts == 0 {
+		t.ts = q.Txn
 	}
-	s.ts[q.Txn] = ts
+	acts := s.actions()
 	if s.locks.Acquire(q.Txn, q.Item, q.Mode()) {
-		return []LockAction{{Kind: LockGrant, Req: q, Txn: q.Txn, Client: q.Client}}
+		return s.seal(append(acts, LockAction{Kind: LockGrant, Req: q, Txn: q.Txn, Client: q.Client}))
 	}
-	s.req[q.Txn] = q
-	blockers := s.locks.WaitsFor(q.Txn)
+	t.req, t.queued = q, true
 	if s.deadlock.Avoidance() {
-		return s.judgeBlocked(q, ts, blockers)
+		return s.seal(s.judgeBlocked(acts, t))
 	}
-	s.blocked[q.Txn] = blockers
-	for _, b := range blockers {
+	t.edges = s.locks.AppendWaitsFor(t.edges[:0], q.Txn)
+	s.setBlocked(t)
+	for _, b := range t.edges {
 		s.waits.AddEdge(q.Txn, b)
 	}
-	var acts []LockAction
 	for {
 		cycle := s.waits.CycleThrough(q.Txn)
 		if cycle == nil {
-			return acts
+			return s.seal(acts)
 		}
 		victim := ChooseVictim(s.policy, cycle, q.Txn, s.locks.HeldCount(q.Txn), s.victimInfo)
 		s.causes.Deadlock++
-		acts = s.abortVictim(victim, acts)
+		acts = s.abortVictim(s.record(victim), acts)
 	}
 }
 
@@ -150,24 +197,24 @@ func (s *LockServer) Request(q LockRequest) []LockAction {
 // graph empty and makes global (coordinator-side) detection unnecessary
 // under avoidance. Wounded victims keep their held locks until the
 // client's AbortRelease round trip, exactly like detection victims.
-func (s *LockServer) judgeBlocked(q LockRequest, ts ids.Txn, blockers []ids.Txn) []LockAction {
-	bts := make([]ids.Txn, len(blockers))
-	for i, b := range blockers {
-		bts[i] = s.tsOf(b)
+func (s *LockServer) judgeBlocked(acts []LockAction, t *lsTxn) []LockAction {
+	s.blockers = s.locks.AppendWaitsFor(s.blockers[:0], t.id)
+	s.bts = s.bts[:0]
+	for _, b := range s.blockers {
+		s.bts = append(s.bts, s.tsOf(b))
 	}
-	die, wound := JudgeBlock(s.deadlock, ts, bts)
+	die, wound := JudgeBlock(s.deadlock, t.ts, s.bts)
 	if die {
 		if s.deadlock == PolicyNoWait {
 			s.causes.NoWait++
 		} else {
 			s.causes.Die++
 		}
-		return s.abortVictim(q.Txn, nil)
+		return s.abortVictim(t, acts)
 	}
-	var acts []LockAction
 	for _, i := range wound {
-		v := blockers[i]
-		if !s.live[v] || s.shielded[v] {
+		v := s.txns[s.blockers[i]]
+		if v == nil || !v.live || v.shielded {
 			// Already wounded (its locks are draining via AbortRelease), or
 			// prepared in 2PC: a yes voter must survive to the decision, and
 			// it never waits again, so waiting for it cannot cycle.
@@ -176,19 +223,20 @@ func (s *LockServer) judgeBlocked(q LockRequest, ts ids.Txn, blockers []ids.Txn)
 		s.causes.Wound++
 		acts = s.abortVictim(v, acts)
 	}
-	if _, waiting := s.req[q.Txn]; waiting {
+	if t.queued {
 		// Still queued (wounding a queued-ahead blocker can promote the
 		// requester immediately); record the block for Blocked/Quiet
 		// bookkeeping. No wfg edges: timestamp order keeps waits acyclic.
-		s.blocked[q.Txn] = blockers
+		t.edges = append(t.edges[:0], s.blockers...)
+		s.setBlocked(t)
 	}
 	return acts
 }
 
 // tsOf returns a transaction's priority timestamp, defaulting to its id.
 func (s *LockServer) tsOf(txn ids.Txn) ids.Txn {
-	if t, ok := s.ts[txn]; ok {
-		return t
+	if t := s.txns[txn]; t != nil && t.known {
+		return t.ts
 	}
 	return txn
 }
@@ -196,7 +244,7 @@ func (s *LockServer) tsOf(txn ids.Txn) ids.Txn {
 // victimInfo is the s-2PL liveness rule for victim selection: any
 // transaction that has not yet committed or been aborted is a candidate.
 func (s *LockServer) victimInfo(id ids.Txn) (alive bool, held int) {
-	return s.live[id], s.locks.HeldCount(id)
+	return s.Live(id), s.locks.HeldCount(id)
 }
 
 // abortVictim performs the server-side half of a deadlock abort: the
@@ -204,44 +252,59 @@ func (s *LockServer) victimInfo(id ids.Txn) (alive bool, held int) {
 // that unblocks), but its held locks stay until AbortRelease — the client
 // owns the in-flight transaction state in a data-shipping system, so the
 // victim is notified and responds with the release.
-func (s *LockServer) abortVictim(v ids.Txn, acts []LockAction) []LockAction {
-	s.clearBlocked(v)
-	grants := s.locks.CancelWait(v)
-	delete(s.live, v)
-	s.doomed[v] = true
-	vq := s.req[v]
-	delete(s.req, v)
-	acts = s.grantActions(acts, grants)
-	return append(acts, LockAction{Kind: LockAbort, Req: vq, Txn: v, Client: s.client[v]})
+func (s *LockServer) abortVictim(t *lsTxn, acts []LockAction) []LockAction {
+	vq := s.doom(t)
+	acts = s.grantActions(acts, s.locks.CancelWait(t.id))
+	return append(acts, LockAction{Kind: LockAbort, Req: vq, Txn: t.id, Client: t.client})
+}
+
+// doom marks t as owing the release round trip and returns its queued
+// request, zero if none; the caller cancels it in the lock table.
+func (s *LockServer) doom(t *lsTxn) LockRequest {
+	s.clearBlocked(t)
+	vq := t.dequeue()
+	t.live, t.doomed = false, true
+	return vq
+}
+
+// dequeue takes t's queued request, zero if none.
+func (t *lsTxn) dequeue() LockRequest {
+	q := t.req
+	t.req, t.queued = LockRequest{}, false
+	return q
 }
 
 // CommitRelease ends a committed transaction: all held locks release in
 // one step (the shrinking phase of strict 2PL) and promoted waiters are
 // granted.
 func (s *LockServer) CommitRelease(txn ids.Txn) []LockAction {
-	grants := s.locks.Release(txn)
-	s.waits.RemoveTxn(txn)
-	delete(s.live, txn)
-	s.forget(txn)
-	return s.grantActions(nil, grants)
+	if t := s.txns[txn]; t != nil {
+		t.live = false
+	}
+	return s.seal(s.grantActions(s.actions(), s.release(txn)))
 }
 
 // AbortRelease frees an aborted victim's held locks once its release
 // round trip completes, promoting waiting requests. The victim left the
 // live set at abort time.
 func (s *LockServer) AbortRelease(txn ids.Txn) []LockAction {
-	grants := s.locks.Release(txn)
-	s.waits.RemoveTxn(txn)
-	s.forget(txn)
-	return s.grantActions(nil, grants)
+	return s.seal(s.grantActions(s.actions(), s.release(txn)))
 }
 
-// forget drops a finished transaction's timestamp and client records.
-func (s *LockServer) forget(txn ids.Txn) {
-	delete(s.doomed, txn)
-	delete(s.shielded, txn)
-	delete(s.ts, txn)
-	delete(s.client, txn)
+// release frees txn's locks and wait edges and forgets its timestamp,
+// client, doom and shield, recycling a record left with no fact. It
+// returns the lock table's grants.
+func (s *LockServer) release(txn ids.Txn) []lock.Grant {
+	grants := s.locks.Release(txn)
+	s.waits.RemoveTxn(txn)
+	if t := s.txns[txn]; t != nil {
+		t.known, t.client, t.ts, t.doomed, t.shielded = false, 0, 0, false, false
+		if !t.live && !t.queued && !t.blocked {
+			delete(s.txns, txn)
+			s.free = append(s.free, t)
+		}
+	}
+	return grants
 }
 
 // grantActions converts promoted lock-table grants into ordered grant
@@ -249,24 +312,37 @@ func (s *LockServer) forget(txn ids.Txn) {
 // (repolint's twophase check pins its callers).
 func (s *LockServer) grantActions(acts []LockAction, grants []lock.Grant) []LockAction {
 	for _, g := range grants {
-		if !s.live[g.Txn] {
+		t := s.txns[g.Txn]
+		if t == nil || !t.live {
 			continue // aborted while queued; nothing to deliver
 		}
-		s.clearBlocked(g.Txn)
-		q := s.req[g.Txn]
-		delete(s.req, g.Txn)
+		s.clearBlocked(t)
+		q := t.dequeue()
 		acts = append(acts, LockAction{Kind: LockGrant, Req: q, Txn: g.Txn, Client: q.Client})
 	}
 	return acts
 }
 
+// setBlocked marks t blocked behind its stored edges.
+func (s *LockServer) setBlocked(t *lsTxn) {
+	if !t.blocked {
+		t.blocked = true
+		s.nblocked++
+	}
+}
+
 // clearBlocked removes a transaction's stored wait edges after a grant or
 // abort.
-func (s *LockServer) clearBlocked(txn ids.Txn) {
-	for _, b := range s.blocked[txn] {
-		s.waits.RemoveEdge(txn, b)
+func (s *LockServer) clearBlocked(t *lsTxn) {
+	if !t.blocked {
+		return
 	}
-	delete(s.blocked, txn)
+	for _, b := range t.edges {
+		s.waits.RemoveEdge(t.id, b)
+	}
+	t.edges = t.edges[:0]
+	t.blocked = false
+	s.nblocked--
 }
 
 // CancelBlocked withdraws a transaction's queued request without touching
@@ -276,40 +352,35 @@ func (s *LockServer) clearBlocked(txn ids.Txn) {
 // trip, exactly as in abortVictim). Unknown or unblocked transactions are
 // a no-op; promoted waiters are granted.
 func (s *LockServer) CancelBlocked(txn ids.Txn) []LockAction {
-	s.clearBlocked(txn)
-	grants := s.locks.CancelWait(txn)
-	delete(s.live, txn)
-	s.doomed[txn] = true
-	delete(s.req, txn)
-	return s.grantActions(nil, grants)
+	s.doom(s.record(txn))
+	return s.seal(s.grantActions(s.actions(), s.locks.CancelWait(txn)))
 }
 
 // Quiet reports whether no request is blocked and the wait-for graph is
 // empty — the live cluster's quiescence condition.
 func (s *LockServer) Quiet() bool {
-	return len(s.blocked) == 0 && s.waits.Edges() == 0
+	return s.nblocked == 0 && s.waits.Edges() == 0
 }
 
 // HeldLocks returns txn's currently held locks in ascending item order —
 // the durable snapshot a 2PC driver logs before a yes vote leaves.
 func (s *LockServer) HeldLocks(txn ids.Txn) []RecoveredLock {
-	held := s.locks.HeldBy(txn)
-	items := make([]ids.Item, 0, len(held))
-	//repolint:allow maprange -- keys are sorted before use
-	for item := range held {
-		items = append(items, item)
-	}
-	slices.Sort(items)
-	out := make([]RecoveredLock, len(items))
-	for i, item := range items {
-		out[i] = RecoveredLock{Item: item, Write: held[item] == lock.Exclusive}
+	held := s.locks.Held(txn)
+	out := make([]RecoveredLock, len(held))
+	for i, h := range held {
+		out[i] = RecoveredLock{Item: h.Item, Write: h.Mode == lock.Exclusive}
 	}
 	return out
 }
 
 // ClientOf returns the client that issued txn's requests (zero when the
 // core has forgotten or never seen it).
-func (s *LockServer) ClientOf(txn ids.Txn) ids.Client { return s.client[txn] }
+func (s *LockServer) ClientOf(txn ids.Txn) ids.Client {
+	if t := s.txns[txn]; t != nil {
+		return t.client
+	}
+	return 0
+}
 
 // Ts returns txn's priority timestamp, defaulting to its id.
 func (s *LockServer) Ts(txn ids.Txn) ids.Txn { return s.tsOf(txn) }
@@ -322,12 +393,11 @@ func (s *LockServer) Ts(txn ids.Txn) ids.Txn { return s.tsOf(txn) }
 // (two prepared exclusives on one item cannot have coexisted). A blocked
 // acquisition is therefore a recovery bug, not a protocol outcome.
 func (s *LockServer) Adopt(txn ids.Txn, client ids.Client, ts ids.Txn, locks []RecoveredLock) {
-	s.live[txn] = true
-	s.client[txn] = client
+	t := s.record(txn)
+	t.live, t.known, t.client, t.ts = true, true, client, ts
 	if ts == 0 {
-		ts = txn
+		t.ts = txn
 	}
-	s.ts[txn] = ts
 	for _, l := range locks {
 		mode := lock.Shared
 		if l.Write {
@@ -337,28 +407,28 @@ func (s *LockServer) Adopt(txn ids.Txn, client ids.Client, ts ids.Txn, locks []R
 			panic("protocol: recovered lock blocked during adoption")
 		}
 	}
-	s.shielded[txn] = true
+	t.shielded = true
 }
 
 // Live reports whether txn is still running from this core's view: it
 // requested at least one lock and has neither committed nor aborted.
-func (s *LockServer) Live(txn ids.Txn) bool { return s.live[txn] }
+func (s *LockServer) Live(txn ids.Txn) bool {
+	t := s.txns[txn]
+	return t != nil && t.live
+}
 
 // Shield marks txn wound-immune: it voted yes in 2PC and must survive
 // to the decision. Cleared when its locks release.
-func (s *LockServer) Shield(txn ids.Txn) { s.shielded[txn] = true }
+func (s *LockServer) Shield(txn ids.Txn) { s.record(txn).shielded = true }
 
 // WaitEdges returns a copy of txn's stored wait edges — the transactions
 // it is blocked behind, in the lock table's promotion order. Empty when
 // txn is not blocked.
 func (s *LockServer) WaitEdges(txn ids.Txn) []ids.Txn {
-	edges := s.blocked[txn]
-	if len(edges) == 0 {
-		return nil
+	if t := s.txns[txn]; t != nil && len(t.edges) > 0 {
+		return slices.Clone(t.edges)
 	}
-	out := make([]ids.Txn, len(edges))
-	copy(out, edges)
-	return out
+	return nil
 }
 
 // HeldCount returns the number of items txn currently holds.
@@ -375,7 +445,10 @@ func (s *LockServer) QueueLen(item ids.Item) int { return s.locks.QueueLen(item)
 func (s *LockServer) Edges() int { return s.waits.Edges() }
 
 // Blocked reports whether txn currently has stored wait edges (test hook).
-func (s *LockServer) Blocked(txn ids.Txn) bool { return len(s.blocked[txn]) > 0 }
+func (s *LockServer) Blocked(txn ids.Txn) bool {
+	t := s.txns[txn]
+	return t != nil && len(t.edges) > 0
+}
 
 // Causes returns the abort-cause counters accumulated so far.
 func (s *LockServer) Causes() stats.AbortCauses { return s.causes }

@@ -85,9 +85,11 @@ echo "== fuzz: forward-list reorder + precedence-graph invariants (10s each) =="
 go test ./internal/fwdlist -run '^$' -fuzz FuzzForwardListReorder -fuzztime 10s
 go test ./internal/prec -run '^$' -fuzz FuzzPrecAcyclic -fuzztime 10s
 
-echo "== fuzz: wait-for and precedence graphs against their map-based reference models (10s each) =="
+echo "== fuzz: wait-for and precedence graphs, lock table and s-2PL core against their map-based reference models (10s each) =="
 go test ./internal/wfg -run '^$' -fuzz FuzzWFGModel -fuzztime 10s
 go test ./internal/prec -run '^$' -fuzz FuzzPrecModel -fuzztime 10s
+go test ./internal/lock -run '^$' -fuzz FuzzLockModel -fuzztime 10s
+go test ./internal/protocol -run '^$' -fuzz FuzzLockServerModel -fuzztime 10s
 
 echo "== fuzz: 2PC coordinator/participant atomicity (10s) =="
 go test ./internal/protocol -run '^$' -fuzz FuzzCoordinator2PC -fuzztime 10s
