@@ -27,9 +27,9 @@ func TestCostBudgets(t *testing.T) {
 		events, msgs    uint64
 		allocsPerCommit float64
 	}{
-		{"des_s2pl", Config{Protocol: S2PL}, 39_691, 26_467, 47.8},
+		{"des_s2pl", Config{Protocol: S2PL}, 39_691, 26_467, 46.7},
 		{"des_g2pl", Config{Protocol: G2PL}, 43_118, 29_612, 76.6},
-		{"des_shard", Config{Protocol: S2PL, Shards: 4, CrossRatio: 0.3, Bank: true, InitialBalance: 1000}, 28_828, 22_048, 51.9},
+		{"des_shard", Config{Protocol: S2PL, Shards: 4, CrossRatio: 0.3, Bank: true, InitialBalance: 1000}, 28_828, 22_048, 42.2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := c.cfg

@@ -104,12 +104,6 @@ type Config struct {
 	// range sharding, whose ranges the workload confinement mirrors.
 	CrossRatio float64
 
-	// HashShards selects the multiplicative-hash shard map instead of the
-	// default range map. Hash placement scatters every multi-item
-	// transaction across shards, so it excludes the CrossRatio confinement
-	// knob.
-	HashShards bool
-
 	// Bank turns the sharded run into fixed-total bank transfers: every
 	// transaction reads two account balances under write locks and moves a
 	// deterministic amount from the first to the second, so the global
@@ -175,8 +169,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("engine: sharding is implemented for s-2PL only, got %v", c.Protocol)
 	case c.CrossRatio < 0 || c.CrossRatio > 1:
 		return fmt.Errorf("engine: CrossRatio %v outside [0,1]", c.CrossRatio)
-	case c.HashShards && c.CrossRatio != 0:
-		return fmt.Errorf("engine: CrossRatio confinement requires range sharding")
 	case c.Bank && c.Shards < 2:
 		return fmt.Errorf("engine: Bank requires Shards >= 2, got %d", c.Shards)
 	case c.Bank && (c.Workload.MinTxnItems != 2 || c.Workload.MaxTxnItems != 2 || c.Workload.ReadProb != 0):
@@ -193,7 +185,7 @@ func (c Config) Validate() error {
 // under range sharding the confinement knobs mirror the shard ranges.
 func (c Config) workload() workload.Config {
 	wl := c.Workload
-	if c.Shards > 1 && !c.HashShards {
+	if c.Shards > 1 {
 		wl.Shards = c.Shards
 		wl.CrossProb = c.CrossRatio
 	}

@@ -53,7 +53,7 @@ func (x *s2pcState) shards() []int {
 // distributed commit.
 type s2pcRun struct {
 	*harness[s2pcState]
-	smap    protocol.ShardMap
+	smap    protocol.RangeShardMap
 	coord   *protocol.Coordinator
 	parts   []*protocol.Participant
 	version map[ids.Item]ids.Txn
@@ -62,14 +62,10 @@ type s2pcRun struct {
 
 func runS2PLSharded(cfg Config) (Result, error) {
 	r := &s2pcRun{
+		smap:    protocol.NewRangeShardMap(cfg.Shards, cfg.Workload.Items),
 		coord:   protocol.NewCoordinator(cfg.Victim, cfg.Deadlock),
 		version: make(map[ids.Item]ids.Txn),
 		value:   make(map[ids.Item]int64),
-	}
-	if cfg.HashShards {
-		r.smap = protocol.NewHashShardMap(cfg.Shards)
-	} else {
-		r.smap = protocol.NewRangeShardMap(cfg.Shards, cfg.Workload.Items)
 	}
 	for s := 0; s < cfg.Shards; s++ {
 		r.parts = append(r.parts, protocol.NewParticipant(s, cfg.Victim, cfg.Deadlock))

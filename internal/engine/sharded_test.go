@@ -26,9 +26,8 @@ func TestShardedValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.Protocol = G2PL },
 		func(c *Config) { c.Protocol = C2PL },
 		func(c *Config) { c.CrossRatio = 1.5 },
-		func(c *Config) { c.HashShards = true }, // CrossRatio still set
-		func(c *Config) { c.Bank = true },       // workload not 2-item all-write
-		func(c *Config) { c.Shards = 30 },       // shard range below MaxTxnItems
+		func(c *Config) { c.Bank = true }, // workload not 2-item all-write
+		func(c *Config) { c.Shards = 30 }, // shard range below MaxTxnItems
 	}
 	for i, m := range mutations {
 		cfg := base
@@ -72,19 +71,22 @@ func TestShardedDeterministic(t *testing.T) {
 }
 
 // TestShardedSerializable runs the oracle over the sharded engine across
-// shard counts, shard maps and seeds, and checks the 2PC phase counters
-// are coherent with the run.
+// shard counts, cross-shard ratios and seeds, and checks the 2PC phase
+// counters are coherent with the run. The default-ratio runs keep the
+// "hash=false" names they have always been reported under; at CrossRatio
+// 1 every transaction draws its items from the whole pool, the
+// cross-shard-heaviest placement the range map allows.
 func TestShardedSerializable(t *testing.T) {
 	for _, k := range []int{2, 4} {
-		for _, hash := range []bool{false, true} {
+		for _, mix := range []struct {
+			name  string
+			cross float64
+		}{{"hash=false", 0.4}, {"cross=1", 1}} {
 			for _, seed := range []uint64{1, 2} {
-				name := fmt.Sprintf("K%d/hash=%v/seed%d", k, hash, seed)
+				name := fmt.Sprintf("K%d/%s/seed%d", k, mix.name, seed)
 				t.Run(name, func(t *testing.T) {
 					cfg := shardedConfig(k, seed)
-					if hash {
-						cfg.HashShards = true
-						cfg.CrossRatio = 0
-					}
+					cfg.CrossRatio = mix.cross
 					res := mustRun(t, cfg)
 					if res.Commits != int64(cfg.TargetCommits) {
 						t.Fatalf("commits = %d, want %d", res.Commits, cfg.TargetCommits)

@@ -48,7 +48,7 @@ type cluster struct {
 	cfg     Config
 	net     *network
 	server  *server // single-server topology; nil when sharded
-	smap    protocol.ShardMap
+	smap    protocol.RangeShardMap
 	shards  []*shardSite
 	coord   *coordSite
 	clients []*client
@@ -230,8 +230,8 @@ func (cl *cluster) run() (*Result, error) {
 					c.id, c.ncommit, t.id, t.ts, t.opIdx, len(t.profile.Ops), t.committing, t.g.HeldCount(), t.touched, done)
 			}
 			if cl.coord != nil {
-				fmt.Printf("STALL coord quiet=%v crashes=%d pending=%d logged=%d\n",
-					cl.coord.coord.Quiet(), cl.coord.crashes, len(cl.coord.pending), len(cl.coord.logged))
+				fmt.Printf("STALL coord quiet=%v crashes=%d rounds=%d\n",
+					cl.coord.coord.Quiet(), cl.coord.crashes, len(cl.coord.rounds))
 			}
 			for _, ss := range cl.shards {
 				fmt.Printf("STALL shard %d: crashes=%d prepared=%v\n", ss.idx, ss.crashes, ss.part.PreparedTxns())

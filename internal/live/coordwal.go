@@ -1,19 +1,13 @@
 package live
 
-import (
-	"slices"
-
-	"repro/internal/ids"
-)
-
 // The coordinator's write-ahead log (DESIGN.md §16). Presumed abort makes
 // it tiny: only commit decisions are logged — forced before the first
 // commit Decide leaves the site — because an abort needs no durable trace
 // (a restarted coordinator answers any inquiry it has no record of with
 // abort, which is exactly the decision an unlogged round must resolve
 // to). Each commit record carries the round's shards and staged writes so
-// a restarted coordinator can re-send complete decisions without the
-// volatile pending table.
+// a restarted coordinator can re-send complete decisions from its
+// replayed rounds.
 
 // coordRecKind discriminates coordinator WAL records.
 type coordRecKind int
@@ -30,16 +24,15 @@ const (
 	coordCheckpoint
 )
 
-// coordRound is one commit round as the coordinator WAL and its in-memory
-// mirror see it. The acked set is volatile — acknowledgments are not
-// logged (that would double the write traffic for bookkeeping a restart
-// can reconstruct by re-sending decisions and collecting acks again).
+// coordRound is one commit round's payload — its commit request — held
+// from the request (or WAL replay) until the coordinator core forgets the
+// round; a WAL commit record is a copy of it. Acknowledgments live only
+// in the core: logging them would double the write traffic for
+// bookkeeping a restart rebuilds by re-sending decisions and collecting
+// acks again.
 type coordRound struct {
-	txn      ids.Txn
-	client   ids.Client
-	shards   []int
-	writesBy map[int][]writeUpdate
-	acked    map[int]bool
+	commitReqMsg
+	logged bool // its commit record is in the WAL
 }
 
 // coordRec is one coordinator WAL append.
@@ -54,12 +47,12 @@ type coordRec struct {
 type coordWAL struct{ durableLog[coordRec] }
 
 // replay rebuilds the restarted coordinator's durable state: every commit
-// round logged at or after the last checkpoint, in decision order, with
-// fresh (empty) ack sets — acknowledgments are volatile, so recovery
-// re-sends every replayed round's decisions and collects acks again. A
-// round that was fully acknowledged before the crash but not yet
-// truncated is resurrected too; its re-sent decisions find nothing to
-// apply at the shards, which simply ack again until the round drains.
+// round logged at or after the last checkpoint, in decision order.
+// Acknowledgments are volatile, so recovery re-sends every replayed
+// round's decisions and collects acks again. A round that was fully
+// acknowledged before the crash but not yet truncated is resurrected too;
+// its re-sent decisions find nothing to apply at the shards, which simply
+// ack again until the round drains.
 func (w *coordWAL) replay() (rounds []coordRound, replayed int64) {
 	for _, r := range w.records {
 		replayed++
@@ -69,10 +62,6 @@ func (w *coordWAL) replay() (rounds []coordRound, replayed int64) {
 		case coordCheckpoint:
 			rounds = append([]coordRound(nil), r.ckRounds...)
 		}
-	}
-	for i := range rounds {
-		rounds[i].shards = slices.Clone(rounds[i].shards)
-		rounds[i].acked = make(map[int]bool, len(rounds[i].shards))
 	}
 	return rounds, replayed
 }

@@ -200,24 +200,23 @@ func TestShardedCrashMaxCapsFaults(t *testing.T) {
 
 // TestCoordWALReplay pins the coordinator log on a hand-built history:
 // a checkpoint record supersedes (and truncates) the prefix before it,
-// replay returns the checkpointed rounds plus every commit logged after,
-// and the ack sets come back empty — acknowledgments are volatile, so a
-// restarted coordinator re-sends decisions and collects them again.
+// and replay returns the checkpointed rounds plus every commit logged
+// after. Acknowledgments are not in the log at all: they live in the
+// coordinator core, whose recovered rounds collect them afresh
+// (TestRecoveredRoundForgottenAfterEveryAck).
 func TestCoordWALReplay(t *testing.T) {
 	syncs := 0
 	w := &coordWAL{}
 	w.syncFn = func() { syncs++ }
-	w.append(coordRec{kind: coordCommit, round: coordRound{txn: 10, client: 1, shards: []int{0, 1}}})
-	w.append(coordRec{kind: coordCommit, round: coordRound{txn: 20, client: 2, shards: []int{1}}})
+	w.append(coordRec{kind: coordCommit, round: coordRound{commitReqMsg: commitReqMsg{txn: 10, client: 1, shards: []int{0, 1}}}})
+	w.append(coordRec{kind: coordCommit, round: coordRound{commitReqMsg: commitReqMsg{txn: 20, client: 2, shards: []int{1}}}})
 	// Txn 10 fully acked before the checkpoint: it is omitted from the
 	// snapshot and its record vanishes with the truncated prefix.
 	w.checkpoint(coordRec{kind: coordCheckpoint, ckRounds: []coordRound{
-		{txn: 20, client: 2, shards: []int{1}},
+		{commitReqMsg: commitReqMsg{txn: 20, client: 2, shards: []int{1}}},
 	}})
-	// A post-checkpoint commit with a partially-collected ack set.
-	w.append(coordRec{kind: coordCommit, round: coordRound{
-		txn: 30, client: 3, shards: []int{0, 2}, acked: map[int]bool{0: true},
-	}})
+	// A post-checkpoint commit.
+	w.append(coordRec{kind: coordCommit, round: coordRound{commitReqMsg: commitReqMsg{txn: 30, client: 3, shards: []int{2, 0}}}})
 
 	if w.appends != 4 || syncs != 4 {
 		t.Fatalf("appends=%d syncs=%d, want 4 4 — every append (checkpoints too) must pass the sync point", w.appends, syncs)
@@ -234,11 +233,6 @@ func TestCoordWALReplay(t *testing.T) {
 	}
 	if len(rounds) != 2 || rounds[0].txn != 20 || rounds[1].txn != 30 {
 		t.Fatalf("rounds = %+v, want txns [20 30] in decision order", rounds)
-	}
-	for _, r := range rounds {
-		if len(r.acked) != 0 {
-			t.Fatalf("replay must reset the volatile ack set: %+v", r)
-		}
 	}
 }
 
@@ -267,7 +261,7 @@ func TestCoordRetryAfterPresumedAbortGetsReply(t *testing.T) {
 		t.Fatalf("inquiry for the lost round must resolve presumed-abort: %d", cs.resolvedAbort)
 	}
 	cs.coordCommitReq(req) // the client's retry, sent on coordRestartMsg
-	if _, ok := cs.pending[7]; ok {
+	if _, ok := cs.rounds[7]; ok {
 		t.Fatal("retry after presumed abort leaked its stored request")
 	}
 	deadline := time.After(5 * time.Second)

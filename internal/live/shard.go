@@ -454,24 +454,22 @@ func (ss *shardSite) applyShard(acts []protocol.PartAction) {
 }
 
 // coordSite is the 2PC commit coordinator site: a goroutine wrapping the
-// pure protocol.Coordinator plus the commit records held between a
-// commit request and its decision. Commits are audit-logged here, at
-// decision time, so the oracle's log order matches the decision order —
-// a dependent transaction can only reach its own decision after this
-// one's, on this same goroutine.
+// pure protocol.Coordinator plus each round's payload, held from its
+// commit request (or WAL replay) until the core forgets the round.
+// Commits are audit-logged here, at decision time, so the oracle's log
+// order matches the decision order — a dependent transaction can only
+// reach its own decision after this one's, on this same goroutine.
 type coordSite struct {
 	cl    *cluster
 	mbox  *mailbox
 	coord *protocol.Coordinator
 
-	pending map[ids.Txn]commitReqMsg
+	rounds map[ids.Txn]*coordRound
 
 	// Recovery machinery (DESIGN.md §16), nil/zero without cfg.WAL: the
-	// commit log, its in-memory mirror of decided-but-unacked rounds
-	// (rebuilt by replay; acks are volatile), the crash stream, and the
-	// observability counters harvested into Stats after shutdown.
+	// commit log, the crash stream, and the observability counters
+	// harvested into Stats after shutdown.
 	cwal           *coordWAL
-	logged         map[ids.Txn]*coordRound
 	crashRng       *rng.Stream
 	crashes        int64
 	replayed       int64
@@ -518,14 +516,13 @@ func newCoordSite(cl *cluster) *coordSite {
 	mbox.owner = ids.Coordinator
 	mbox.arq = cl.net.arq
 	cs := &coordSite{
-		cl:      cl,
-		mbox:    mbox,
-		coord:   newCoordCore(cl.cfg, 0),
-		pending: make(map[ids.Txn]commitReqMsg),
+		cl:     cl,
+		mbox:   mbox,
+		coord:  newCoordCore(cl.cfg, 0),
+		rounds: make(map[ids.Txn]*coordRound),
 	}
 	if cl.cfg.WAL {
 		cs.cwal = &coordWAL{}
-		cs.logged = make(map[ids.Txn]*coordRound)
 	}
 	if cl.cfg.Crash.CoordProb > 0 {
 		cs.crashRng = newCoordCrashStream(cl.cfg.Seed)
@@ -580,7 +577,9 @@ func (cs *coordSite) coordVote(m voteMsg) {
 }
 
 func (cs *coordSite) coordCommitReq(m commitReqMsg) {
-	cs.pending[m.txn] = m
+	if cs.rounds[m.txn] == nil { // a retry re-sends the same payload; a replayed one is already logged
+		cs.rounds[m.txn] = &coordRound{commitReqMsg: m}
+	}
 	acts := cs.coord.CommitRequest(m.txn, m.client, m.shards)
 	if len(acts) == 0 && cs.coord.Done(m.txn) {
 		// A client retry across a coordinator restart, for a round that was
@@ -592,9 +591,17 @@ func (cs *coordSite) coordCommitReq(m commitReqMsg) {
 		// PRESUMED-abort tombstone is different: that promise was made to
 		// an inquiring shard, never to the client, so the core returns the
 		// owed abort reply and this branch is not taken.)
-		delete(cs.pending, m.txn)
+		cs.forget(m.txn)
 	}
 	cs.apply2PC(acts)
+}
+
+// forget drops txn's round payload unless the core still holds the round
+// as decided but unacknowledged, whose re-sent decisions need the writes.
+func (cs *coordSite) forget(txn ids.Txn) {
+	if !cs.coord.Unacked(txn) {
+		delete(cs.rounds, txn)
+	}
 }
 
 // coordInquire answers a termination-protocol inquiry, counting how each
@@ -614,18 +621,12 @@ func (cs *coordSite) coordInquire(m inquireMsg) {
 	cs.apply2PC(acts)
 }
 
-// coordAck drains one shard's commit-decision acknowledgment; a fully
-// acknowledged round leaves the mirror, making its log record dead weight
-// the next checkpoint truncates.
+// coordAck drains one shard's commit-decision acknowledgment; once the
+// core forgets the fully acknowledged round, its payload goes too, and
+// its log record is dead weight the next checkpoint truncates.
 func (cs *coordSite) coordAck(m decideAckMsg) {
-	cs.coord.Acked(m.txn, m.shard)
-	r := cs.logged[m.txn]
-	if r == nil {
-		return
-	}
-	r.acked[m.shard] = true
-	if len(r.acked) == len(r.shards) {
-		delete(cs.logged, m.txn)
+	if cs.coord.Acked(m.txn, m.shard) {
+		delete(cs.rounds, m.txn)
 	}
 }
 
@@ -633,54 +634,27 @@ func (cs *coordSite) coordAck(m decideAckMsg) {
 // leaves (WAL before wire): if the coordinator crashes past this point,
 // replay re-sends the decisions; if it crashes before, presumed abort
 // gives every prepared participant the same answer the round would now
-// never produce. Called only for freshly decided rounds — recovery
-// re-decides find their round already mirrored in logged.
-func (cs *coordSite) logCommit(txn ids.Txn) {
-	m, ok := cs.pending[txn]
-	if !ok {
-		return
-	}
-	shards := slices.Clone(m.shards)
-	slices.Sort(shards)
-	shards = slices.Compact(shards)
-	r := &coordRound{
-		txn:      txn,
-		client:   m.client,
-		shards:   shards,
-		writesBy: m.writesBy,
-		acked:    make(map[int]bool, len(shards)),
-	}
+// never produce. Recovery and inquiry re-decides find their round
+// already logged.
+func (cs *coordSite) logCommit(r *coordRound) {
+	r.logged = true
 	cs.cwal.append(coordRec{kind: coordCommit, round: *r})
-	cs.logged[txn] = r
-}
-
-// writesFor resolves the staged writes a commit decision installs at one
-// shard: from the live request record, or — after a coordinator restart
-// discarded the pending table — from the logged round that survives it.
-func (cs *coordSite) writesFor(txn ids.Txn, shard int) []writeUpdate {
-	if m, ok := cs.pending[txn]; ok {
-		return m.writesBy[shard]
-	}
-	if r := cs.logged[txn]; r != nil {
-		return r.writesBy[shard]
-	}
-	return nil
 }
 
 // maybeCheckpoint rolls a coordinator checkpoint once enough commit
-// records accumulated: the unacked rounds are snapshotted and the log
-// prefix — including every fully-acked commit record — is truncated.
+// records accumulated: the rounds the core holds as decided but
+// unacknowledged are snapshotted and the log prefix — including every
+// fully-acked commit record — is truncated.
 func (cs *coordSite) maybeCheckpoint() {
 	every := cs.cl.cfg.WALCheckpointEvery
 	if cs.cwal == nil || every <= 0 || cs.cwal.sinceCkpt < every {
 		return
 	}
 	ck := coordRec{kind: coordCheckpoint}
-	for _, txn := range slices.Sorted(maps.Keys(cs.logged)) {
-		r := cs.logged[txn]
-		ck.ckRounds = append(ck.ckRounds, coordRound{
-			txn: r.txn, client: r.client, shards: r.shards, writesBy: r.writesBy,
-		})
+	for _, txn := range slices.Sorted(maps.Keys(cs.rounds)) {
+		if cs.coord.Unacked(txn) {
+			ck.ckRounds = append(ck.ckRounds, *cs.rounds[txn])
+		}
 	}
 	cs.cwal.checkpoint(ck)
 }
@@ -698,8 +672,8 @@ func (cs *coordSite) maybeCrash() {
 }
 
 // crashRestart is the coordinator fault: the core (voting rounds, the
-// deadlock graph, tombstones), the pending request table and the logged
-// mirror are all discarded; only the WAL survives. Replay rebuilds the
+// deadlock graph, tombstones, ack progress) and the round payloads are
+// all discarded; only the WAL survives. Replay rebuilds the
 // decided-but-unacked rounds, recovery re-sends their commit decisions,
 // and the restart is announced so clients retry unresolved commit
 // requests and shards re-file their block reports. Everything the log
@@ -716,14 +690,13 @@ func (cs *coordSite) crashRestart() {
 	cs.pastTwoPC.Merge(dead)
 	cs.pastCauses.Merge(cs.coord.Causes())
 	cs.coord = newCoordCore(cs.cl.cfg, int(cs.crashes))
-	cs.pending = make(map[ids.Txn]commitReqMsg)
 	rounds, replayed := cs.cwal.replay()
 	cs.replayed += replayed
-	cs.logged = make(map[ids.Txn]*coordRound, len(rounds))
+	cs.rounds = make(map[ids.Txn]*coordRound, len(rounds))
 	recs := make([]protocol.RecoveredRound, 0, len(rounds))
 	for i := range rounds {
 		r := &rounds[i]
-		cs.logged[r.txn] = r
+		cs.rounds[r.txn] = r
 		recs = append(recs, protocol.RecoveredRound{Txn: r.txn, Client: r.client, Shards: r.shards})
 	}
 	cs.apply2PC(cs.coord.Recover(recs))
@@ -751,10 +724,10 @@ func (cs *coordSite) causes() stats.AbortCauses {
 
 // coordAbortDone closes a victim unwind. If a commit request crossed the
 // victim notice in flight, the core kills its round here; the stored
-// record dies with it.
+// payload dies with it.
 func (cs *coordSite) coordAbortDone(m abortDoneMsg) {
 	cs.apply2PC(cs.coord.AbortDone(m.txn))
-	delete(cs.pending, m.txn)
+	cs.forget(m.txn)
 }
 
 // apply2PC emits the coordinator core's ordered decisions as messages —
@@ -768,19 +741,20 @@ func (cs *coordSite) apply2PC(acts []protocol.CoordAction) {
 		case protocol.CoordDecide:
 			var writes []writeUpdate
 			if a.Commit {
-				if cs.cwal != nil && cs.logged[a.Txn] == nil {
-					cs.logCommit(a.Txn)
+				r := cs.rounds[a.Txn]
+				if cs.cwal != nil && !r.logged {
+					cs.logCommit(r)
 				}
-				writes = cs.writesFor(a.Txn, a.Shard)
+				writes = r.writesBy[a.Shard]
 			}
 			cs.cl.net.send(ids.Coordinator, ids.ShardSite(a.Shard), decisionMsg{
 				txn: a.Txn, commit: a.Commit, writes: writes,
 			})
 		case protocol.CoordReply:
 			if a.Commit {
-				cs.cl.audit.commit(cs.pending[a.Txn].rec)
+				cs.cl.audit.commit(cs.rounds[a.Txn].rec)
 			}
-			delete(cs.pending, a.Txn)
+			cs.forget(a.Txn)
 			cs.cl.net.send(ids.Coordinator, a.Client, outcomeMsg{txn: a.Txn, commit: a.Commit})
 		case protocol.CoordVictim:
 			cs.cl.net.send(ids.Coordinator, a.Client, abortMsg{txn: a.Txn})

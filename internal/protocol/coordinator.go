@@ -35,34 +35,44 @@ type CoordAction struct {
 	Epoch  int        // prepare: the coordinator epoch the vote must echo
 }
 
-// coordBlocked is the coordinator's view of one blocked transaction: who
-// to notify on a victim abort, how much work dies with it, the wait
-// edges currently charged to the global graph, and the block episode
-// (the transaction's operation index) the report belongs to.
-type coordBlocked struct {
-	client ids.Client
-	shard  int
-	epoch  int
-	held   int
-	edges  []ids.Txn
+// coordTxn is everything the coordinator knows about one live
+// transaction. Each flag is one fact's lifetime, and the record lives
+// while any of them holds: blocked (a block report is stored), voting
+// (the voting round is underway), victim (a global deadlock victim
+// awaiting its AbortDone) and unacked (a decided commit some shard has
+// not acknowledged — in recoverable mode the only state kept after
+// deciding, and the only state worth making durable). A transaction is
+// never voting and unacked at once, so both phases share the shards.
+type coordTxn struct {
+	blocked, voting, victim, unacked bool
+
+	id                 ids.Txn
+	client             ids.Client // whom a victim notice or the outcome reply goes to
+	shard, epoch, held int        // blocked: reporting shard, block episode, items held
+	edges              []ids.Txn  // blocked: edges charged to the global graph
+	shards             []int      // voting/unacked: participant shards, ascending
+	marks              []bool     // voting/unacked: per shard, voted or acked
 }
 
-// coordCommitted is one decided-commit round whose decisions have not all
-// been acknowledged yet — the only per-transaction state a recoverable
-// coordinator keeps after deciding. Under presumed abort it is also the
-// only state worth making durable: an inquiry about any transaction not
-// in this set is safely answered with abort.
-type coordCommitted struct {
-	shards []int
-	acked  map[int]bool
+// setShards loads a round's participant shards, ascending and distinct,
+// into the record's own storage, every mark cleared.
+func (t *coordTxn) setShards(shards []int) {
+	t.shards = append(t.shards[:0], shards...)
+	slices.Sort(t.shards)
+	t.shards = slices.Compact(t.shards)
+	t.marks = slices.Grow(t.marks[:0], len(t.shards))[:len(t.shards)]
+	clear(t.marks)
 }
 
-// coordPending is one transaction in its voting round.
-type coordPending struct {
-	client ids.Client
-	shards []int // participant shards, ascending
-	voted  map[int]bool
-	yes    int
+// mark sets shard's mark and reports whether it was a member of the round
+// not marked before.
+func (t *coordTxn) mark(shard int) bool {
+	i, ok := slices.BinarySearch(t.shards, shard)
+	if !ok || t.marks[i] {
+		return false
+	}
+	t.marks[i] = true
+	return true
 }
 
 // Coordinator is the 2PC commit coordinator as a pure state machine:
@@ -95,13 +105,16 @@ type coordPending struct {
 // can still land after its episode was forgotten (transient spurious
 // edges), but per-link FIFO guarantees its paired clear follows on the
 // same link, so it always resolves.
+//
+// Every live fact about a transaction sits in one recycled record; only
+// the tombstones outlive it. Returned action lists are never written again.
 type Coordinator struct {
 	policy   VictimPolicy
 	deadlock DeadlockPolicy
 	waits    *wfg.Graph
-	blocked  map[ids.Txn]*coordBlocked
-	pending  map[ids.Txn]*coordPending
-	aborted  map[ids.Txn]bool // victims awaiting the client's AbortDone
+	txns     map[ids.Txn]*coordTxn
+	free     []*coordTxn // recycled records: no flag set, slices emptied
+	cycle    []ids.Txn   // Blocked scratch: the deadlock cycle found
 	// alwaysPrepare forces a voting round even for single-shard
 	// transactions. One-phase commit is a pure latency win on a reliable
 	// cluster, but it is not crash-durable: an acknowledged commit whose
@@ -110,25 +123,23 @@ type Coordinator struct {
 	// install on, and presumed abort makes it skip the writes. Drivers
 	// running crash faults set this.
 	alwaysPrepare bool
-	// done tombstones finished transactions (replied rounds and completed
+	// ended tombstones finished transactions (replied rounds and completed
 	// abort unwinds). Transaction ids are never reused, so a block report
-	// arriving for a done transaction is necessarily stale — the signature
-	// case is a report from a shard that crash-restarted before sending
-	// the paired clear, arriving after the client's AbortDone. Without the
-	// tombstone that report would sit in the blocked set forever (no
-	// clear is coming from a site that forgot it sent the report) and the
-	// coordinator could even victim the dead transaction, leaving an
-	// aborted mark no AbortDone will ever close.
-	done map[ids.Txn]bool
-	// presumed marks done transactions whose abort was finalized by the
-	// termination protocol: an inquiry arrived for a round this
-	// incarnation has no record of, so abort was promised to the inquirer
-	// and is now irrevocable. A client retrying that round's commit
-	// request (its original died with the crashed incarnation) must learn
-	// the same verdict — opening a fresh voting round instead could
-	// commit, contradicting the promise. Terminal state like done, not
-	// part of quiescence.
-	presumed map[ids.Txn]bool
+	// arriving for an ended transaction is necessarily stale — the
+	// signature case is a report from a shard that crash-restarted before
+	// sending the paired clear, arriving after the client's AbortDone.
+	// Without the tombstone that report would sit in the blocked set
+	// forever (no clear is coming from a site that forgot it sent the
+	// report) and the coordinator could even victim the dead transaction,
+	// leaving a victim mark no AbortDone will ever close. The value marks
+	// a presumed abort, finalized by the termination protocol: an inquiry
+	// arrived for a round this incarnation has no record of, so abort was
+	// promised to the inquirer and is now irrevocable. A client retrying
+	// that round's commit request (its original died with the crashed
+	// incarnation) must learn the same verdict — opening a fresh voting
+	// round instead could commit, contradicting the promise. Tombstones
+	// are terminal state, not part of quiescence.
+	ended map[ids.Txn]bool
 	// epoch is this coordinator incarnation's number, stamped on every
 	// prepare and echoed by the vote it solicits. A vote from another
 	// epoch is dropped: after a crash, yes votes solicited by a dead
@@ -140,15 +151,15 @@ type Coordinator struct {
 	// driver bumps this on every restart via SetEpoch.
 	epoch int
 	// recoverable turns on commit-round tracking for crash recovery and the
-	// termination protocol: every commit decision registers the round in
-	// committed until all its shards acknowledge the decision, so Inquire
-	// can re-answer it and Recover can re-drive it after a restart. Off by
+	// termination protocol: every commit decision keeps the round unacked
+	// until all its shards acknowledge the decision, so Inquire can
+	// re-answer it and Recover can re-drive it after a restart. Off by
 	// default — the DES engines and clean live runs keep the classic
 	// stateless presumed-abort coordinator, byte-identical to before.
 	recoverable bool
-	committed   map[ids.Txn]*coordCommitted
 	tpc         stats.TwoPC
 	causes      stats.AbortCauses
+	actionSlab[CoordAction]
 }
 
 // NewCoordinator returns an empty commit coordinator using the given
@@ -161,24 +172,44 @@ func NewCoordinator(policy VictimPolicy, deadlock DeadlockPolicy) *Coordinator {
 		policy:   policy,
 		deadlock: deadlock,
 		waits:    wfg.New(),
-		blocked:  make(map[ids.Txn]*coordBlocked),
-		pending:  make(map[ids.Txn]*coordPending),
-		aborted:  make(map[ids.Txn]bool),
-		done:     make(map[ids.Txn]bool),
-		presumed: make(map[ids.Txn]bool),
+		txns:     make(map[ids.Txn]*coordTxn),
+		ended:    make(map[ids.Txn]bool),
 	}
 }
+
+// record returns txn's record, taking a recycled one if it has none.
+func (c *Coordinator) record(txn ids.Txn) *coordTxn {
+	t := c.txns[txn]
+	if t == nil {
+		if n := len(c.free); n > 0 {
+			t, c.free = c.free[n-1], c.free[:n-1]
+		} else {
+			t = &coordTxn{}
+		}
+		t.id = txn
+		c.txns[txn] = t
+	}
+	return t
+}
+
+// settle recycles t once no fact about it holds any more.
+func (c *Coordinator) settle(t *coordTxn) {
+	if t.blocked || t.voting || t.victim || t.unacked {
+		return
+	}
+	delete(c.txns, t.id)
+	*t = coordTxn{edges: t.edges[:0], shards: t.shards[:0], marks: t.marks[:0]}
+	c.free = append(c.free, t)
+}
+
+// end tombstones txn, keeping a presumed-abort mark it already has.
+func (c *Coordinator) end(txn ids.Txn) { c.ended[txn] = c.ended[txn] }
 
 // SetRecoverable turns on commit-round tracking (see the recoverable
 // field). Call before the first CommitRequest; drivers that log commit
 // decisions to a coordinator WAL set this so acknowledged rounds can be
 // forgotten and in-doubt inquiries answered.
-func (c *Coordinator) SetRecoverable(v bool) {
-	c.recoverable = v
-	if v && c.committed == nil {
-		c.committed = make(map[ids.Txn]*coordCommitted)
-	}
-}
+func (c *Coordinator) SetRecoverable(v bool) { c.recoverable = v }
 
 // SetEpoch sets this incarnation's epoch (see the epoch field). Call
 // before the first CommitRequest; a restarting driver passes a number it
@@ -195,26 +226,25 @@ func (c *Coordinator) Blocked(txn ids.Txn, client ids.Client, shard, epoch, held
 	if c.deadlock.Avoidance() {
 		return nil // avoidance: no global graph, nothing to assemble
 	}
-	if c.pending[txn] != nil || c.aborted[txn] || c.done[txn] {
-		return nil
+	if t := c.txns[txn]; c.Done(txn) || t != nil && (t.voting || t.victim || t.blocked && t.epoch >= epoch) {
+		return nil // stale, or a newer episode's report won the cross-link race
 	}
-	if prev := c.blocked[txn]; prev != nil && prev.epoch >= epoch {
-		return nil // a newer episode's report won the cross-link race
-	}
-	c.dropEdges(txn)
-	b := &coordBlocked{client: client, shard: shard, epoch: epoch, held: held, edges: slices.Clone(waitsFor)}
-	c.blocked[txn] = b
-	for _, w := range b.edges {
+	t := c.record(txn)
+	c.unblock(t)
+	t.client, t.shard, t.epoch, t.held = client, shard, epoch, held
+	t.edges = append(t.edges[:0], waitsFor...)
+	t.blocked = true
+	for _, w := range t.edges {
 		c.waits.AddEdge(txn, w)
 	}
-	var acts []CoordAction
+	acts := c.actions()
 	for {
-		cycle := c.waits.CycleThrough(txn)
-		if cycle == nil {
-			return acts
+		c.cycle = c.waits.AppendCycle(c.cycle[:0], txn)
+		if len(c.cycle) == 0 {
+			return c.seal(acts)
 		}
-		victim := ChooseVictim(c.policy, cycle, txn, held, c.victimInfo)
-		acts = c.forceAbort(victim, acts)
+		victim := ChooseVictim(c.policy, c.cycle, txn, held, c.victimInfo)
+		acts = c.forceAbort(c.record(victim), acts)
 	}
 }
 
@@ -222,27 +252,26 @@ func (c *Coordinator) Blocked(txn ids.Txn, client ids.Client, shard, epoch, held
 // is currently reported blocked — and not already voting or victimed —
 // may be chosen over the fallback requester.
 func (c *Coordinator) victimInfo(id ids.Txn) (alive bool, held int) {
-	b := c.blocked[id]
-	if b == nil || c.pending[id] != nil || c.aborted[id] || c.done[id] {
+	t := c.txns[id]
+	if t == nil || !t.blocked || t.voting || t.victim || c.Done(id) {
 		return false, 0
 	}
-	return true, b.held
+	return true, t.held
 }
 
 // forceAbort records a global deadlock victim: its edges leave the graph
 // immediately (breaking the cycle), the victim notice goes to its client,
-// and the aborted mark holds until the client's AbortDone closes the
+// and the victim mark holds until the client's AbortDone closes the
 // unwind.
-func (c *Coordinator) forceAbort(v ids.Txn, acts []CoordAction) []CoordAction {
-	b := c.blocked[v]
-	c.dropEdges(v)
-	c.aborted[v] = true
+func (c *Coordinator) forceAbort(t *coordTxn, acts []CoordAction) []CoordAction {
+	act := CoordAction{Kind: CoordVictim, Txn: t.id}
+	if t.blocked {
+		act.Client = t.client
+	}
+	c.unblock(t)
+	t.victim = true
 	c.tpc.ForcedAborts++
 	c.causes.Deadlock++
-	act := CoordAction{Kind: CoordVictim, Txn: v}
-	if b != nil {
-		act.Client = b.client
-	}
 	return append(acts, act)
 }
 
@@ -252,43 +281,45 @@ func (c *Coordinator) forceAbort(v ids.Txn, acts []CoordAction) []CoordAction {
 // clear after a newer episode's report, and honoring it would erase live
 // edges — hiding a real deadlock.
 func (c *Coordinator) Cleared(txn ids.Txn, epoch int) {
-	b := c.blocked[txn]
-	if b == nil || b.epoch != epoch {
+	t := c.txns[txn]
+	if t == nil || !t.blocked || t.epoch != epoch {
 		return
 	}
-	c.dropEdges(txn)
+	c.unblock(t)
+	c.settle(t)
 }
 
-// dropEdges removes txn's stored edges from the global graph.
-func (c *Coordinator) dropEdges(txn ids.Txn) {
-	b := c.blocked[txn]
-	if b == nil {
+// unblock removes t's stored edges from the global graph and drops its
+// block report.
+func (c *Coordinator) unblock(t *coordTxn) {
+	if !t.blocked {
 		return
 	}
-	for _, w := range b.edges {
-		c.waits.RemoveEdge(txn, w)
+	for _, w := range t.edges {
+		c.waits.RemoveEdge(t.id, w)
 	}
-	delete(c.blocked, txn)
+	t.edges = t.edges[:0]
+	t.blocked = false
 }
 
 // CommitRequest starts the commit of a fully-granted transaction touching
-// the given shards. A single-shard transaction commits in one phase — the
-// decision ships with the request's reply and no vote is collected —
-// unless alwaysPrepare is set; a cross-shard transaction enters its
-// voting round. A request racing a victim abort is answered with an
-// abort reply, which the client (already unwinding) ignores.
+// the given shards, in any order. A single-shard transaction commits in
+// one phase — the decision ships with the request's reply and no vote is
+// collected — unless alwaysPrepare is set; a cross-shard transaction
+// enters its voting round. A request racing a victim abort is answered
+// with an abort reply, which the client (already unwinding) ignores.
 func (c *Coordinator) CommitRequest(txn ids.Txn, client ids.Client, shards []int) []CoordAction {
-	if c.pending[txn] != nil {
+	if t := c.txns[txn]; t != nil && t.voting {
 		return nil // duplicate request; the voting round is underway
 	}
-	if c.done[txn] {
-		if c.presumed[txn] {
+	if presumed, ok := c.ended[txn]; ok {
+		if presumed {
 			// The round died with a crashed incarnation and the termination
 			// protocol already promised abort to an inquiring shard; the
 			// retried request gets that verdict, never a fresh round.
 			c.tpc.Txns++
 			c.tpc.Aborts++
-			return c.decide(nil, txn, nil, false, client, true)
+			return c.seal(c.decide(c.actions(), txn, nil, false, client, true))
 		}
 		// A re-sent request for an already-decided round (a client retrying
 		// across a coordinator restart whose original request was decided
@@ -297,34 +328,31 @@ func (c *Coordinator) CommitRequest(txn ids.Txn, client ids.Client, shards []int
 		// on the wire — so answering again would double-count the outcome.
 		return nil
 	}
-	shards = slices.Clone(shards)
-	slices.Sort(shards)
-	shards = slices.Compact(shards)
+	t := c.record(txn)
+	t.setShards(shards)
 	c.tpc.Txns++
-	if len(shards) > 1 {
+	if len(t.shards) > 1 {
 		c.tpc.CrossTxns++
 	}
-	if c.aborted[txn] {
-		delete(c.aborted, txn)
+	acts := c.actions()
+	switch {
+	case t.victim:
+		t.victim = false
 		c.tpc.Aborts++
-		return c.decide(nil, txn, nil, false, client, true)
-	}
-	if len(shards) == 1 && !c.alwaysPrepare {
+		acts = c.decide(acts, txn, nil, false, client, true)
+	case len(t.shards) == 1 && !c.alwaysPrepare:
 		c.tpc.OnePhase++
 		c.tpc.Commits++
-		return c.decide(nil, txn, shards, true, client, true)
+		acts = c.decide(acts, txn, t.shards, true, client, true)
+	default:
+		t.voting, t.client = true, client
+		for _, s := range t.shards {
+			c.tpc.Prepares++
+			acts = append(acts, CoordAction{Kind: CoordPrepare, Txn: txn, Shard: s, Epoch: c.epoch})
+		}
 	}
-	c.pending[txn] = &coordPending{
-		client: client,
-		shards: shards,
-		voted:  make(map[int]bool, len(shards)),
-	}
-	acts := make([]CoordAction, 0, len(shards))
-	for _, s := range shards {
-		c.tpc.Prepares++
-		acts = append(acts, CoordAction{Kind: CoordPrepare, Txn: txn, Shard: s, Epoch: c.epoch})
-	}
-	return acts
+	c.settle(t)
+	return c.seal(acts)
 }
 
 // Vote ingests one participant's vote, solicited by a prepare stamped
@@ -341,53 +369,52 @@ func (c *Coordinator) Vote(txn ids.Txn, shard, epoch int, yes bool) []CoordActio
 	if epoch != c.epoch {
 		return nil
 	}
-	p := c.pending[txn]
-	if p == nil {
+	t := c.txns[txn]
+	if t == nil || !t.voting || !t.mark(shard) {
 		return nil
 	}
-	if !slices.Contains(p.shards, shard) || p.voted[shard] {
-		return nil
-	}
-	p.voted[shard] = true
+	acts := c.actions()
 	if !yes {
 		c.tpc.VotesNo++
 		c.tpc.Aborts++
-		delete(c.pending, txn)
+		t.voting = false
 		// The no voter aborted unilaterally; the others get the decision.
-		rest := make([]int, 0, len(p.shards)-1)
-		for _, s := range p.shards {
-			if s != shard {
-				rest = append(rest, s)
-			}
+		t.shards = slices.DeleteFunc(t.shards, func(s int) bool { return s == shard })
+		acts = c.decide(acts, txn, t.shards, false, t.client, true)
+	} else {
+		c.tpc.VotesYes++
+		if slices.Contains(t.marks, false) {
+			return nil
 		}
-		return c.decide(nil, txn, rest, false, p.client, true)
+		c.tpc.Commits++
+		t.voting = false
+		acts = c.decide(acts, txn, t.shards, true, t.client, true)
 	}
-	c.tpc.VotesYes++
-	p.yes++
-	if p.yes < len(p.shards) {
-		return nil
-	}
-	c.tpc.Commits++
-	delete(c.pending, txn)
-	return c.decide(nil, txn, p.shards, true, p.client, true)
+	c.settle(t)
+	return c.seal(acts)
 }
 
 // AbortDone closes a victim's unwind: the client has sent its per-shard
-// abort releases, so the aborted mark and any stale block state drop. If
+// abort releases, so the victim mark and any stale block state drop. If
 // a commit request crossed the victim notice in flight, its voting round
 // dies here with abort decisions to its shards — the client is already
 // gone, so no reply is sent.
 func (c *Coordinator) AbortDone(txn ids.Txn) []CoordAction {
-	c.done[txn] = true
-	c.dropEdges(txn)
-	delete(c.aborted, txn)
-	p := c.pending[txn]
-	if p == nil {
+	c.end(txn)
+	t := c.txns[txn]
+	if t == nil {
 		return nil
 	}
-	delete(c.pending, txn)
-	c.tpc.Aborts++
-	return c.decide(nil, txn, p.shards, false, 0, false)
+	c.unblock(t)
+	t.victim = false
+	acts := c.actions()
+	if t.voting {
+		t.voting = false
+		c.tpc.Aborts++
+		acts = c.decide(acts, txn, t.shards, false, 0, false)
+	}
+	c.settle(t)
+	return c.seal(acts)
 }
 
 // Timeout aborts a stalled voting round (a participant that will never
@@ -395,14 +422,16 @@ func (c *Coordinator) AbortDone(txn ids.Txn) []CoordAction {
 // gets an abort reply. Unknown transactions are a no-op — presumed abort
 // covers any straggler votes.
 func (c *Coordinator) Timeout(txn ids.Txn) []CoordAction {
-	p := c.pending[txn]
-	if p == nil {
+	t := c.txns[txn]
+	if t == nil || !t.voting {
 		return nil
 	}
-	delete(c.pending, txn)
+	t.voting = false
 	c.tpc.Aborts++
 	c.causes.Timeout++
-	return c.decide(nil, txn, p.shards, false, p.client, true)
+	acts := c.decide(c.actions(), txn, t.shards, false, t.client, true)
+	c.settle(t)
+	return c.seal(acts)
 }
 
 // decide emits a decision: one CoordDecide per listed shard (ascending)
@@ -412,15 +441,14 @@ func (c *Coordinator) decide(acts []CoordAction, txn ids.Txn, shards []int, comm
 	if reply {
 		// The round is over for this transaction; tombstone it so stale
 		// block reports (a crashed shard's unretracted report) bounce.
-		c.done[txn] = true
+		c.end(txn)
 		if c.recoverable && commit {
 			// A freshly decided commit: track the round until every shard
 			// acknowledges the decision, so inquiries can be re-answered
 			// from state rather than wrongly presumed abort.
-			c.committed[txn] = &coordCommitted{
-				shards: slices.Clone(shards),
-				acked:  make(map[int]bool, len(shards)),
-			}
+			t := c.record(txn)
+			t.setShards(shards)
+			t.unacked = true
 		}
 	}
 	for _, s := range shards {
@@ -436,18 +464,26 @@ func (c *Coordinator) decide(acts []CoordAction, txn ids.Txn, shards []int, comm
 // every shard in the round has acknowledged, the round is forgotten —
 // the driver may then truncate its durable commit record, because no
 // inquiry about it can ever arrive again (the inquirer's prepared state
-// resolved when it applied the decision it is now acknowledging).
-// Acknowledgments for unknown rounds (already forgotten, or a replay
-// resurrecting a pre-crash ack) are no-ops.
-func (c *Coordinator) Acked(txn ids.Txn, shard int) {
-	r := c.committed[txn]
-	if r == nil {
-		return
+// resolved when it applied the decision it is now acknowledging). It
+// reports whether this acknowledgment forgot the round. Acknowledgments
+// for unknown rounds (already forgotten, or a replay resurrecting a
+// pre-crash ack) and from shards outside the round are no-ops.
+func (c *Coordinator) Acked(txn ids.Txn, shard int) bool {
+	t := c.txns[txn]
+	if t == nil || !t.unacked || !t.mark(shard) || slices.Contains(t.marks, false) {
+		return false
 	}
-	r.acked[shard] = true
-	if len(r.acked) == len(r.shards) {
-		delete(c.committed, txn)
-	}
+	t.unacked = false
+	c.settle(t)
+	return true
+}
+
+// Unacked reports whether txn is a decided commit round some shard has
+// not acknowledged yet (recoverable mode only) — the rounds a driver's
+// durable commit log must keep.
+func (c *Coordinator) Unacked(txn ids.Txn) bool {
+	t := c.txns[txn]
+	return t != nil && t.unacked
 }
 
 // Inquire answers a prepared participant's termination-protocol inquiry
@@ -459,27 +495,27 @@ func (c *Coordinator) Acked(txn ids.Txn, shard int) {
 // in which case the inquirer's prepared state already resolved and this
 // inquiry is a stale duplicate whose abort answer finds nothing to apply.
 func (c *Coordinator) Inquire(txn ids.Txn, shard int) []CoordAction {
-	if c.pending[txn] != nil {
+	if t := c.txns[txn]; t != nil && t.voting {
 		return nil
 	}
-	if c.committed[txn] != nil {
-		return c.decide(nil, txn, []int{shard}, true, 0, false)
+	if c.Unacked(txn) {
+		return c.seal(c.decide(c.actions(), txn, []int{shard}, true, 0, false))
 	}
-	if !c.done[txn] {
+	if !c.Done(txn) {
 		// A round this incarnation has never heard of: presuming abort
 		// here makes the abort irrevocable, so finalize it. Without the
-		// tombstones, a retried commit request for the same round could
+		// tombstone, a retried commit request for the same round could
 		// open a fresh voting round, collect the inquirer's stale queued
 		// yes votes, and commit while this abort answer is still in
 		// flight to the inquirer — a split decision.
-		c.done[txn] = true
-		c.presumed[txn] = true
+		c.ended[txn] = true
 	}
-	return c.decide(nil, txn, []int{shard}, false, 0, false)
+	return c.seal(c.decide(c.actions(), txn, []int{shard}, false, 0, false))
 }
 
 // RecoveredRound is one decided-but-unacknowledged commit round a
-// restarted coordinator's WAL replay produced.
+// restarted coordinator's WAL replay produced. Shards may come in any
+// order, as the round's commit request listed them.
 type RecoveredRound struct {
 	Txn    ids.Txn
 	Client ids.Client
@@ -487,25 +523,23 @@ type RecoveredRound struct {
 }
 
 // Recover re-enters decided commit rounds on a freshly restarted
-// coordinator: each is tombstoned done (so a retried commit request is
-// not answered twice), re-tracked as committed-unacked, and its commit
-// decisions re-sent to every shard — the decisions, not the replies: the
-// original reply left atomically with the durable commit record, and
-// presumed abort covers every round the log does not mention. Must run
-// before the coordinator sees any post-restart event.
+// coordinator: each is tombstoned (so a retried commit request is not
+// answered twice), re-tracked as unacked, and its commit decisions
+// re-sent to every shard in ascending order — the decisions, not the
+// replies: the original reply left atomically with the durable commit
+// record, and presumed abort covers every round the log does not
+// mention. Must run before the coordinator sees any post-restart event.
 func (c *Coordinator) Recover(rounds []RecoveredRound) []CoordAction {
-	var acts []CoordAction
+	acts := c.actions()
 	for _, r := range rounds {
-		c.done[r.Txn] = true
-		if c.recoverable {
-			c.committed[r.Txn] = &coordCommitted{
-				shards: slices.Clone(r.Shards),
-				acked:  make(map[int]bool, len(r.Shards)),
-			}
-		}
-		acts = c.decide(acts, r.Txn, r.Shards, true, 0, false)
+		c.end(r.Txn)
+		t := c.record(r.Txn)
+		t.setShards(r.Shards)
+		acts = c.decide(acts, r.Txn, t.shards, true, 0, false)
+		t.unacked = c.recoverable
+		c.settle(t)
 	}
-	return acts
+	return c.seal(acts)
 }
 
 // ShardRestarted purges every block report the given shard filed: a
@@ -515,9 +549,10 @@ func (c *Coordinator) Recover(rounds []RecoveredRound) []CoordAction {
 // the shard sent before crashing arrives before its restart notice, so
 // the purge cannot race a live report into oblivion.
 func (c *Coordinator) ShardRestarted(shard int) {
-	for _, txn := range slices.Sorted(maps.Keys(c.blocked)) {
-		if c.blocked[txn].shard == shard {
-			c.dropEdges(txn)
+	for _, txn := range slices.Sorted(maps.Keys(c.txns)) {
+		if t := c.txns[txn]; t.blocked && t.shard == shard {
+			c.unblock(t)
+			c.settle(t)
 		}
 	}
 }
@@ -529,16 +564,19 @@ func (c *Coordinator) SetAlwaysPrepare(v bool) { c.alwaysPrepare = v }
 
 // Quiet reports whether no voting round, block report, victim unwind or
 // (in recoverable mode) unacknowledged commit decision is in flight —
-// the live cluster's coordinator quiescence condition.
+// no record is left — the live cluster's coordinator quiescence
+// condition.
 func (c *Coordinator) Quiet() bool {
-	return len(c.pending) == 0 && len(c.blocked) == 0 &&
-		len(c.aborted) == 0 && len(c.committed) == 0 && c.waits.Edges() == 0
+	return len(c.txns) == 0 && c.waits.Edges() == 0
 }
 
 // Done reports whether txn's round concluded (replied, or its victim
 // unwind completed) — the driver's filter for client retries of decided
 // rounds across a coordinator restart.
-func (c *Coordinator) Done(txn ids.Txn) bool { return c.done[txn] }
+func (c *Coordinator) Done(txn ids.Txn) bool {
+	_, ok := c.ended[txn]
+	return ok
+}
 
 // Counters returns the accumulated 2PC phase counters.
 func (c *Coordinator) Counters() stats.TwoPC { return c.tpc }

@@ -16,20 +16,18 @@ func kinds(acts []CoordAction) []CoordActionKind {
 
 func TestShardMapsCoverAllShards(t *testing.T) {
 	for _, k := range []int{1, 2, 4, 7} {
-		hm := NewHashShardMap(k)
-		rm := NewRangeShardMap(k, 100)
-		seenH := make([]bool, k)
-		seenR := make([]bool, k)
+		m := NewRangeShardMap(k, 100)
+		seen := make([]bool, k)
 		for i := 0; i < 100; i++ {
-			h, r := hm.Of(ids.Item(i)), rm.Of(ids.Item(i))
-			if h < 0 || h >= k || r < 0 || r >= k {
-				t.Fatalf("K=%d item %d mapped outside [0,%d): hash=%d range=%d", k, i, k, h, r)
+			s := m.Of(ids.Item(i))
+			if s < 0 || s >= k {
+				t.Fatalf("K=%d item %d mapped outside [0,%d): %d", k, i, k, s)
 			}
-			seenH[h], seenR[r] = true, true
+			seen[s] = true
 		}
 		for s := 0; s < k; s++ {
-			if !seenH[s] || !seenR[s] {
-				t.Fatalf("K=%d shard %d unused (hash=%v range=%v)", k, s, seenH[s], seenR[s])
+			if !seen[s] {
+				t.Fatalf("K=%d shard %d unused", k, s)
 			}
 		}
 	}
@@ -315,5 +313,54 @@ func TestParticipantClientAbort(t *testing.T) {
 	}
 	if err := p.Core().Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTwoPCRoundAllocs pins the 2PC cores' floor: in steady state a
+// recoverable two-shard round (both locks, the commit request, both
+// prepares and votes, both decisions and acknowledgements) and a
+// one-phase commit allocate no action list or round record of their own.
+func TestTwoPCRoundAllocs(t *testing.T) {
+	coord := NewCoordinator(VictimRequester, PolicyDetect)
+	coord.SetRecoverable(true)
+	parts := []*Participant{
+		NewParticipant(0, VictimRequester, PolicyDetect),
+		NewParticipant(1, VictimRequester, PolicyDetect),
+	}
+	txn := ids.Txn(0)
+	shards := []int{1, 0}
+	round := func() {
+		txn++
+		for s, p := range parts {
+			p.Request(LockRequest{Txn: txn, Item: ids.Item(50*s + int(txn)%32), Write: true})
+		}
+		var decisions []CoordAction
+		for _, a := range coord.CommitRequest(txn, 0, shards) {
+			vote := parts[a.Shard].Prepare(txn, a.Epoch)
+			decisions = coord.Vote(txn, a.Shard, vote[0].Epoch, vote[0].Yes)
+		}
+		for _, a := range decisions[:2] {
+			parts[a.Shard].Decide(txn, a.Commit)
+			coord.Acked(txn, a.Shard)
+		}
+	}
+	onePhase := func() {
+		txn++
+		parts[0].Request(LockRequest{Txn: txn, Item: ids.Item(int(txn) % 32), Write: true})
+		coord.CommitRequest(txn, 0, shards[1:])
+		parts[0].Decide(txn, true)
+		coord.Acked(txn, 0)
+	}
+	for _, c := range []struct {
+		name string
+		op   func()
+	}{{"two-shard round", round}, {"one-phase commit", onePhase}} {
+		// The tombstone map's amortized growth is the only allocation left.
+		if n := testing.AllocsPerRun(1000, c.op); n > 0 {
+			t.Errorf("%s: %v allocs, want 0", c.name, n)
+		}
+	}
+	if !coord.Quiet() || !parts[0].Quiet() || !parts[1].Quiet() {
+		t.Fatal("cores not quiet after every round was acknowledged")
 	}
 }

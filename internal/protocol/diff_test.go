@@ -130,11 +130,11 @@ func (p *serverPair) compare() {
 
 // checkRecords verifies what the representation promises: one record per
 // transaction the model has any fact about, filed under its own id, the
-// blocked count right, and recycled records clean.
+// blocked and shielded counts right, and recycled records clean.
 func (p *serverPair) checkRecords() {
 	p.t.Helper()
 	s, m := p.s, p.m
-	blocked := 0
+	blocked, shielded := 0, 0
 	for id, t := range s.txns {
 		_, known := m.client[id]
 		_, queued := m.req[id]
@@ -149,6 +149,9 @@ func (p *serverPair) checkRecords() {
 		if t.blocked {
 			blocked++
 		}
+		if t.shielded {
+			shielded++
+		}
 	}
 	for _, set := range [][]ids.Txn{keysOf(m.live), keysOf(m.client), keysOf(m.req), keysOf(m.blocked), keysOf(m.doomed), keysOf(m.shielded)} {
 		for _, id := range set {
@@ -159,6 +162,9 @@ func (p *serverPair) checkRecords() {
 	}
 	if blocked != s.nblocked {
 		p.t.Fatalf("blocked count %d, records say %d", s.nblocked, blocked)
+	}
+	if shielded != s.nshielded {
+		p.t.Fatalf("shielded count %d, records say %d", s.nshielded, shielded)
 	}
 	for _, t := range s.free {
 		if len(t.edges) != 0 || t.req != (LockRequest{}) || t.client != 0 || t.ts != 0 ||

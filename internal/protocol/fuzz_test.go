@@ -105,7 +105,7 @@ type fzHarness struct {
 	pol     DeadlockPolicy
 	coord   *Coordinator
 	parts   []*Participant
-	smap    ShardMap
+	smap    RangeShardMap
 	links   [fzNumLinks][]fzMsg
 	state   []fzTxnState
 	applied [][]int // [txn index][shard]: 0 none, 1 commit, 2 abort

@@ -71,17 +71,19 @@ type LockAction struct {
 // returned list is never written again: a driver may keep it while it
 // calls the core anew.
 type LockServer struct {
-	policy   VictimPolicy
-	deadlock DeadlockPolicy
-	locks    *lock.Manager
-	waits    *wfg.Graph
-	txns     map[ids.Txn]*lsTxn
-	free     []*lsTxn     // recycled records: no fact set, edges emptied
-	nblocked int          // records with blocked set
-	out      []LockAction // unused rest of the slab the next action list is carved from
-	blockers []ids.Txn    // judgeBlocked scratch: the requester's blockers
-	bts      []ids.Txn    // judgeBlocked scratch: their timestamps
-	causes   stats.AbortCauses
+	policy    VictimPolicy
+	deadlock  DeadlockPolicy
+	locks     *lock.Manager
+	waits     *wfg.Graph
+	txns      map[ids.Txn]*lsTxn
+	free      []*lsTxn  // recycled records: no fact set, edges emptied
+	nblocked  int       // records with blocked set
+	nshielded int       // records with shielded set
+	cycle     []ids.Txn // Request scratch: the deadlock cycle found
+	blockers  []ids.Txn // judgeBlocked scratch: the requester's blockers
+	bts       []ids.Txn // judgeBlocked scratch: their timestamps
+	causes    stats.AbortCauses
+	actionSlab[LockAction]
 }
 
 // lsTxn is everything the core knows about one transaction. Each flag is
@@ -129,25 +131,6 @@ func (s *LockServer) record(txn ids.Txn) *lsTxn {
 	return t
 }
 
-// actions returns an empty action list whose appends fill the slab, a
-// fresh one of 64 actions when fewer than 8 are left.
-func (s *LockServer) actions() []LockAction {
-	if cap(s.out) < 8 {
-		s.out = make([]LockAction, 0, 64)
-	}
-	return s.out
-}
-
-// seal hands a finished action list to the caller, capped so an append
-// cannot reach the slab space behind it, which the next list takes.
-func (s *LockServer) seal(acts []LockAction) []LockAction {
-	if len(acts) == 0 {
-		return nil
-	}
-	s.out = acts[len(acts):]
-	return acts[:len(acts):len(acts)]
-}
-
 // Request handles an arriving lock request: acquire or block, with
 // deadlock detection initiated on block (paper §4). Several cycles can
 // pass through the new request; victims are aborted until none remain,
@@ -180,11 +163,11 @@ func (s *LockServer) Request(q LockRequest) []LockAction {
 		s.waits.AddEdge(q.Txn, b)
 	}
 	for {
-		cycle := s.waits.CycleThrough(q.Txn)
-		if cycle == nil {
+		s.cycle = s.waits.AppendCycle(s.cycle[:0], q.Txn)
+		if len(s.cycle) == 0 {
 			return s.seal(acts)
 		}
-		victim := ChooseVictim(s.policy, cycle, q.Txn, s.locks.HeldCount(q.Txn), s.victimInfo)
+		victim := ChooseVictim(s.policy, s.cycle, q.Txn, s.locks.HeldCount(q.Txn), s.victimInfo)
 		s.causes.Deadlock++
 		acts = s.abortVictim(s.record(victim), acts)
 	}
@@ -298,6 +281,9 @@ func (s *LockServer) release(txn ids.Txn) []lock.Grant {
 	grants := s.locks.Release(txn)
 	s.waits.RemoveTxn(txn)
 	if t := s.txns[txn]; t != nil {
+		if t.shielded {
+			s.nshielded--
+		}
 		t.known, t.client, t.ts, t.doomed, t.shielded = false, 0, 0, false, false
 		if !t.live && !t.queued && !t.blocked {
 			delete(s.txns, txn)
@@ -407,7 +393,7 @@ func (s *LockServer) Adopt(txn ids.Txn, client ids.Client, ts ids.Txn, locks []R
 			panic("protocol: recovered lock blocked during adoption")
 		}
 	}
-	t.shielded = true
+	s.shield(t)
 }
 
 // Live reports whether txn is still running from this core's view: it
@@ -419,7 +405,15 @@ func (s *LockServer) Live(txn ids.Txn) bool {
 
 // Shield marks txn wound-immune: it voted yes in 2PC and must survive
 // to the decision. Cleared when its locks release.
-func (s *LockServer) Shield(txn ids.Txn) { s.record(txn).shielded = true }
+func (s *LockServer) Shield(txn ids.Txn) { s.shield(s.record(txn)) }
+
+// shield marks t wound-immune, counting it.
+func (s *LockServer) shield(t *lsTxn) {
+	if !t.shielded {
+		t.shielded = true
+		s.nshielded++
+	}
+}
 
 // WaitEdges returns a copy of txn's stored wait edges — the transactions
 // it is blocked behind, in the lock table's promotion order. Empty when

@@ -41,12 +41,16 @@ type PartAction struct {
 // surfaced for the coordinator. Local single-shard deadlocks still
 // resolve locally (the core's own cycle detection); only cross-shard
 // cycles need the coordinator's assembled graph.
+//
+// The prepared set — yes voters awaiting their decision — is the core's
+// shield: set by the vote or recovery, cleared by the release. Returned
+// action lists are never written again.
 type Participant struct {
 	shard    int
 	deadlock DeadlockPolicy
 	core     *LockServer
-	reported map[ids.Txn]int  // block epoch reported and not yet cleared
-	prepared map[ids.Txn]bool // yes votes cast, awaiting the decision
+	reported map[ids.Txn]int // block epoch reported and not yet cleared
+	actionSlab[PartAction]
 }
 
 // NewParticipant returns a participant for shard index shard using the
@@ -61,7 +65,6 @@ func NewParticipant(shard int, policy VictimPolicy, deadlock DeadlockPolicy) *Pa
 		deadlock: deadlock,
 		core:     NewLockServer(policy, deadlock),
 		reported: make(map[ids.Txn]int),
-		prepared: make(map[ids.Txn]bool),
 	}
 }
 
@@ -72,7 +75,7 @@ func (p *Participant) Shard() int { return p.shard }
 // to the coordinator with the local wait edges and held count — the raw
 // material of global deadlock detection.
 func (p *Participant) Request(q LockRequest) []PartAction {
-	acts := p.relay(nil, p.core.Request(q))
+	acts := p.relay(p.actions(), p.core.Request(q))
 	if !p.deadlock.Avoidance() && p.core.Blocked(q.Txn) {
 		p.reported[q.Txn] = q.Epoch
 		acts = append(acts, PartAction{
@@ -84,7 +87,7 @@ func (p *Participant) Request(q LockRequest) []PartAction {
 			WaitsFor: p.core.WaitEdges(q.Txn),
 		})
 	}
-	return acts
+	return p.seal(acts)
 }
 
 // Prepare casts this shard's vote: yes iff the transaction is live and
@@ -94,17 +97,17 @@ func (p *Participant) Request(q LockRequest) []PartAction {
 // presumed abort the no voter needs no decision message, so it must not
 // leave locks behind for one.
 func (p *Participant) Prepare(txn ids.Txn, epoch int) []PartAction {
-	if p.prepared[txn] || (p.core.Live(txn) && !p.core.Blocked(txn)) {
-		p.prepared[txn] = true
+	acts := p.actions()
+	if p.Prepared(txn) || (p.core.Live(txn) && !p.core.Blocked(txn)) {
 		// A yes voter is committed to the decision: under Wound-Wait it must
 		// not be wounded out from under the voting round.
 		p.core.Shield(txn)
-		return []PartAction{{Kind: PartVote, Txn: txn, Epoch: epoch, Yes: true}}
+		return p.seal(append(acts, PartAction{Kind: PartVote, Txn: txn, Epoch: epoch, Yes: true}))
 	}
-	acts := p.relay(nil, p.core.CancelBlocked(txn))
+	acts = p.relay(acts, p.core.CancelBlocked(txn))
 	acts = p.clearReport(acts, txn)
 	acts = p.relay(acts, p.core.AbortRelease(txn))
-	return append(acts, PartAction{Kind: PartVote, Txn: txn, Epoch: epoch, Yes: false})
+	return p.seal(append(acts, PartAction{Kind: PartVote, Txn: txn, Epoch: epoch, Yes: false}))
 }
 
 // Involved reports whether this shard still carries state for txn — the
@@ -112,14 +115,17 @@ func (p *Participant) Prepare(txn ids.Txn, epoch int) []PartAction {
 // duplicate or presumed-abort decision finds nothing and must change
 // nothing).
 func (p *Participant) Involved(txn ids.Txn) bool {
-	return p.prepared[txn] || p.core.Live(txn)
+	return p.Prepared(txn) || p.core.Live(txn)
 }
 
 // Prepared reports whether txn has voted yes here and is awaiting the
 // decision — the driver's WAL gate: the prepare record must be durable
 // before the vote leaves, and a decision record is only worth logging
 // for a transaction in this state.
-func (p *Participant) Prepared(txn ids.Txn) bool { return p.prepared[txn] }
+func (p *Participant) Prepared(txn ids.Txn) bool {
+	t := p.core.txns[txn]
+	return t != nil && t.shielded
+}
 
 // RecoveredLock is one lock a crashed participant's WAL says a prepared
 // transaction held at vote time.
@@ -154,15 +160,14 @@ func (p *Participant) PreparedSnapshot(txn ids.Txn) RecoveredTxn {
 }
 
 // Recover re-enters in-doubt transactions on a freshly restarted
-// participant: each returns to the prepared set with its logged locks
-// adopted into the empty core, so the pending decision finds the same
-// shielded state the crash destroyed. Presumed abort covers everything
-// else — transactions the crash made the site forget get no votes when
-// their prepares arrive, and decisions for them find nothing to apply.
+// participant: each is adopted into the empty core with its logged locks,
+// shielded, so the pending decision finds the same prepared state the
+// crash destroyed. Presumed abort covers everything else — transactions
+// the crash made the site forget get no votes when their prepares
+// arrive, and decisions for them find nothing to apply.
 // Must run before the participant sees any post-restart event.
 func (p *Participant) Recover(txns []RecoveredTxn) {
 	for _, r := range txns {
-		p.prepared[r.Txn] = true
 		p.core.Adopt(r.Txn, r.Client, r.Ts, r.Locks)
 	}
 }
@@ -172,23 +177,19 @@ func (p *Participant) Recover(txns []RecoveredTxn) {
 // cancels and releases whatever remains. Both are idempotent on a
 // transaction this shard no longer knows.
 func (p *Participant) Decide(txn ids.Txn, commit bool) []PartAction {
-	delete(p.prepared, txn)
-	if commit {
-		return p.relay(nil, p.core.CommitRelease(txn))
+	if !commit {
+		return p.ClientAbort(txn)
 	}
-	acts := p.relay(nil, p.core.CancelBlocked(txn))
-	acts = p.clearReport(acts, txn)
-	return p.relay(acts, p.core.AbortRelease(txn))
+	return p.seal(p.relay(p.actions(), p.core.CommitRelease(txn)))
 }
 
 // ClientAbort unwinds a transaction the client is abandoning (a global
 // deadlock victim's per-shard release): the queued request, if any, is
 // cancelled and all held locks release.
 func (p *Participant) ClientAbort(txn ids.Txn) []PartAction {
-	delete(p.prepared, txn)
-	acts := p.relay(nil, p.core.CancelBlocked(txn))
+	acts := p.relay(p.actions(), p.core.CancelBlocked(txn))
 	acts = p.clearReport(acts, txn)
-	return p.relay(acts, p.core.AbortRelease(txn))
+	return p.seal(p.relay(acts, p.core.AbortRelease(txn)))
 }
 
 // relay converts the wrapped core's lock actions into participant
@@ -228,11 +229,17 @@ func (p *Participant) clearReport(acts []PartAction, txn ids.Txn) []PartAction {
 // This is what the termination protocol inquires about and what a
 // checkpoint record snapshots.
 func (p *Participant) PreparedTxns() []ids.Txn {
-	return slices.Sorted(maps.Keys(p.prepared))
+	var txns []ids.Txn
+	for _, txn := range slices.Sorted(maps.Keys(p.core.txns)) {
+		if p.core.txns[txn].shielded {
+			txns = append(txns, txn)
+		}
+	}
+	return txns
 }
 
 // PreparedCount returns the number of in-doubt transactions.
-func (p *Participant) PreparedCount() int { return len(p.prepared) }
+func (p *Participant) PreparedCount() int { return p.core.nshielded }
 
 // Resync re-emits a PartBlocked report for every block currently
 // reported and not yet cleared, with fresh edges and the originally
@@ -263,7 +270,7 @@ func (p *Participant) Resync() []PartAction {
 // Quiet reports whether the wrapped core is idle and no vote is awaiting
 // its decision.
 func (p *Participant) Quiet() bool {
-	return len(p.prepared) == 0 && p.core.Quiet()
+	return p.core.nshielded == 0 && p.core.Quiet()
 }
 
 // Core exposes the wrapped lock core (test hook).

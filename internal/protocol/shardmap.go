@@ -6,43 +6,13 @@ import (
 	"repro/internal/ids"
 )
 
-// ShardMap partitions the item space across K lock-server shards. The
-// mapping is pure and stable: every site (clients, shards, coordinator)
-// computes the same owner for an item without coordination.
-type ShardMap interface {
-	// Shards returns K, the number of shards.
-	Shards() int
-	// Of returns the shard index in [0, K) owning item.
-	Of(item ids.Item) int
-}
-
-// HashShardMap spreads items across shards by a multiplicative hash —
-// neighbouring items land on different shards, so a uniform workload
-// spreads evenly regardless of item numbering.
-type HashShardMap struct{ K int }
-
-// NewHashShardMap returns a hash map over k shards; k must be positive.
-func NewHashShardMap(k int) HashShardMap {
-	if k <= 0 {
-		panic(fmt.Sprintf("protocol: shard count must be positive, got %d", k))
-	}
-	return HashShardMap{K: k}
-}
-
-// Shards returns the shard count.
-func (m HashShardMap) Shards() int { return m.K }
-
-// Of hashes the item id (Knuth's multiplicative constant) onto a shard.
-func (m HashShardMap) Of(item ids.Item) int {
-	h := uint32(item) * 2654435761
-	return int(h % uint32(m.K))
-}
-
-// RangeShardMap assigns contiguous item ranges to shards: items [0, per)
-// to shard 0, [per, 2*per) to shard 1, and so on, with the remainder on
-// the last shard. Range placement lets a workload confine a transaction
-// to one shard by drawing items from one range — the hot-shard and
-// bank-transfer tests depend on that alignment.
+// RangeShardMap partitions the item space across K lock-server shards in
+// contiguous ranges: items [0, per) to shard 0, [per, 2*per) to shard 1,
+// and so on, with the remainder on the last shard. The mapping is pure
+// and stable: every site (clients, shards, coordinator) computes the same
+// owner for an item without coordination. Range placement lets a
+// workload confine a transaction to one shard by drawing items from one
+// range — the hot-shard and bank-transfer tests depend on that alignment.
 type RangeShardMap struct {
 	K     int
 	Items int // total item-pool size
@@ -56,9 +26,6 @@ func NewRangeShardMap(k, items int) RangeShardMap {
 	}
 	return RangeShardMap{K: k, Items: items}
 }
-
-// Shards returns the shard count.
-func (m RangeShardMap) Shards() int { return m.K }
 
 // Of returns the shard owning the item's range. Items at or beyond the
 // pool size clamp to the last shard.

@@ -114,6 +114,30 @@ func TestRecoverRedrivesLoggedRounds(t *testing.T) {
 	}
 }
 
+// A recovered round collects its acknowledgments afresh in the core: it
+// is forgotten only once every one of its shards acked, whatever order
+// the log listed them in, and acks from outside the round or repeated
+// acks do not count.
+func TestRecoveredRoundForgottenAfterEveryAck(t *testing.T) {
+	c := NewCoordinator(VictimRequester, PolicyDetect)
+	c.SetRecoverable(true)
+	acts := c.Recover([]RecoveredRound{{Txn: 5, Client: 2, Shards: []int{2, 0}}})
+	if len(acts) != 2 || acts[0].Shard != 0 || acts[1].Shard != 2 {
+		t.Fatalf("recovery must re-decide every shard in ascending order: %+v", acts)
+	}
+	for _, shard := range []int{2, 2, 1} { // an ack, its repeat, and one from outside the round
+		if c.Acked(5, shard) || !c.Unacked(5) {
+			t.Fatalf("round forgotten on shard %d's ack, before shard 0 acked", shard)
+		}
+	}
+	if !c.Acked(5, 0) || c.Unacked(5) || !c.Quiet() {
+		t.Fatal("the last shard's ack must forget the round")
+	}
+	if c.Acked(5, 0) {
+		t.Fatal("an ack for a forgotten round must be a no-op")
+	}
+}
+
 // A vote stamped with another incarnation's epoch is dropped: only
 // answers to this round's own prepares count, so a retried round cannot
 // commit off votes a dead incarnation solicited. This is the fuzz-found

@@ -40,8 +40,14 @@ func (p *pair) step(op, x, y byte) {
 		p.g.RemoveTxn(a)
 		p.m.RemoveTxn(a)
 	case 4:
-		if got, want := p.g.CycleThrough(a), p.m.CycleThrough(a); !reflect.DeepEqual(got, want) {
+		want := p.m.CycleThrough(a)
+		if got := p.g.CycleThrough(a); !reflect.DeepEqual(got, want) {
 			p.t.Fatalf("CycleThrough(%v) = %v, model %v", a, got, want)
+		}
+		// AppendCycle extends a non-empty scratch in place of a fresh slice.
+		dst := append(make([]ids.Txn, 0, 2), b)
+		if got := p.g.AppendCycle(dst, a); !reflect.DeepEqual(got, append([]ids.Txn{b}, want...)) {
+			p.t.Fatalf("AppendCycle([%v], %v) = %v, model cycle %v", b, a, got, want)
 		}
 	case 5:
 		if got, want := p.g.WaitsOf(a), p.m.WaitsOf(a); !reflect.DeepEqual(got, want) {
@@ -203,8 +209,8 @@ func TestGenerationWraparound(t *testing.T) {
 }
 
 // TestSteadyStateAllocatesNothing pins the point of the representation:
-// once the graph has seen its working set, only a found cycle and
-// WaitsOf's copy allocate.
+// once the graph has seen its working set, only CycleThrough's fresh
+// cycle and WaitsOf's copy allocate.
 func TestSteadyStateAllocatesNothing(t *testing.T) {
 	// The benchmark's graph: T1 heads a chain of 8 with a sink beside each
 	// link, and 34 outsiders wait on the chain (T24, T32, ... on T1 itself,
@@ -219,6 +225,7 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	for id := ids.Txn(17); id <= 50; id++ {
 		g.AddEdge(id, 1+id%8)
 	}
+	var scratch []ids.Txn
 	cases := []struct {
 		name string
 		op   func()
@@ -227,6 +234,13 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 			if g.CycleThrough(1) != nil {
 				t.Fatal("unexpected cycle")
 			}
+		}},
+		{"AppendCycle hit into a scratch", func() {
+			g.AddEdge(8, 1) // closes the chain into an 8-cycle
+			if scratch = g.AppendCycle(scratch[:0], 1); len(scratch) != 8 {
+				t.Fatalf("cycle %v, want the 8-chain", scratch)
+			}
+			g.RemoveEdge(8, 1)
 		}},
 		{"AddEdge+RemoveEdge, new pair on old nodes", func() { g.AddEdge(8, 1); g.RemoveEdge(8, 1) }},
 		{"AddEdge+RemoveEdge, counted pair", func() { g.AddEdge(1, 2); g.RemoveEdge(1, 2) }},

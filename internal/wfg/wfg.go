@@ -194,16 +194,22 @@ func (g *Graph) WaitsOf(a ids.Txn) []ids.Txn {
 // Successors are tried in ascending transaction id, so the cycle found —
 // and with it the victim a policy picks from it — is a function of the
 // edge set alone.
-func (g *Graph) CycleThrough(start ids.Txn) []ids.Txn {
+func (g *Graph) CycleThrough(start ids.Txn) []ids.Txn { return g.AppendCycle(nil, start) }
+
+// AppendCycle appends the cycle CycleThrough would return to dst and
+// returns the extended slice; dst comes back unchanged when start is on
+// no cycle. A caller that keeps a scratch slice finds deadlocks without
+// allocating.
+func (g *Graph) AppendCycle(dst []ids.Txn, start ids.Txn) []ids.Txn {
 	n := g.nodes[start]
 	if n == nil || !g.search(n) {
-		return nil
+		return dst
 	}
-	cycle := make([]ids.Txn, len(g.stack))
-	for i, f := range g.stack {
-		cycle[i] = f.n.id
+	dst = slices.Grow(dst, len(g.stack))
+	for _, f := range g.stack {
+		dst = append(dst, f.n.id)
 	}
-	return cycle
+	return dst
 }
 
 // search runs the DFS and reports whether start is on a cycle; if so the

@@ -55,7 +55,7 @@ go test ./internal/netmodel -count=1
 
 echo "== race detector: coordinator-crash soak — termination protocol + WAL checkpointing =="
 go test -race ./internal/live -run 'TestShardedCoordCrash|TestShardedCorrelatedCrash|TestWALCheckpointBoundsLog|TestCoordWALReplay|TestCoordRetryAfterPresumedAbort' -count=1
-go test ./internal/protocol -run 'TestInquire|TestRecoverRedrives|TestVoteEpoch|TestShardRestarted|TestParticipantResync' -count=1
+go test ./internal/protocol -run 'TestInquire|TestRecover|TestVoteEpoch|TestShardRestarted|TestParticipant|TestCoordinator|TestTwoPCRoundAllocs' -count=1
 
 echo "== race detector: deadlock-policy sweep (4 policies x 3 protocols, oracle-checked) =="
 go test -race ./internal/live -run 'TestChaosPolicyMatrix|TestShardedPolicyChaos|TestPolicyStatsSurface' -count=1
