@@ -128,10 +128,10 @@ type Config struct {
 	// Funnels generalizes GrantSites beyond the 2PL rule: for each
 	// package, a map from funnel-function name to its sanctioned callers.
 	// The table pins single-emission invariants that are not about lock
-	// grants — e.g. that every wire transmission in the live cluster goes
-	// through network.transmit and every ARQ retention through
-	// network.send — so a refactor cannot quietly introduce a second
-	// emission site.
+	// grants — e.g. that every transmission the transport core decides
+	// leaves through its transmit and every mailbox delivery through the
+	// live network's transmit — so a refactor cannot quietly introduce a
+	// second emission site.
 	Funnels map[string]map[string][]string
 
 	// ImportAllow is the layering firewall: for each module package path,
@@ -188,6 +188,9 @@ func DefaultConfig() *Config {
 			"repro/internal/stats":    true,
 			"repro/internal/core":     true,
 			"repro/internal/netmodel": true,
+			// The live transport's decisions, run by the live cluster on
+			// wall-clock nanoseconds and by tests on modelled time.
+			"repro/internal/transport": true,
 		},
 		ConcurrentPkgs: map[string]bool{
 			"repro/internal/live": true,
@@ -307,16 +310,22 @@ func DefaultConfig() *Config {
 				"abort":       {"judgeFlight", "resolve"},
 			},
 			// The live transport's emission topology (DESIGN.md §10–11):
-			// every wire transmission funnels through network.transmit
-			// (fresh sends, ARQ retransmissions, standalone acks — nothing
-			// else may put a message on a link), sequencing + retransmit
-			// retention happen exactly once in network.send, and the ARQ
-			// receive-side state advances only from the mailbox pump.
+			// the core decides every transmission — fresh sends, ARQ
+			// retransmissions, standalone acks — and each leaves it
+			// through transmit, where chaos applies and the counters
+			// count; acknowledgements and receive-side ack state advance
+			// only from arrivals. The live adapter puts a decided
+			// transmission on the wire in one function, from the two
+			// events that can make one, and only that function enqueues
+			// onto a mailbox.
+			"repro/internal/transport": {
+				"transmit":     {"Send", "fireAck", "fireRetransmit"},
+				"onAck":        {"Arrive"},
+				"noteReceived": {"Arrive"},
+			},
 			"repro/internal/live": {
-				"transmit":       {"send", "fireAck", "fireRetransmit"},
-				"stampAndRetain": {"send"},
-				"onAck":          {"deliverable"},
-				"noteReceived":   {"deliverable"},
+				"transmit": {"send", "fire"},
+				"enqueue":  {"transmit"},
 			},
 		},
 		ImportAllow: map[string][]string{
@@ -334,7 +343,7 @@ func DefaultConfig() *Config {
 			"repro/internal/fwdlist":    {"repro/internal/ids"},
 			"repro/internal/history":    {"repro/internal/ids"},
 			"repro/internal/ids":        {},
-			"repro/internal/live":       {"repro/internal/history", "repro/internal/ids", "repro/internal/lock", "repro/internal/protocol", "repro/internal/rng", "repro/internal/stats", "repro/internal/workload"},
+			"repro/internal/live":       {"repro/internal/history", "repro/internal/ids", "repro/internal/lock", "repro/internal/protocol", "repro/internal/rng", "repro/internal/stats", "repro/internal/transport", "repro/internal/workload"},
 			"repro/internal/lock":       {"repro/internal/ids"},
 			"repro/internal/netmodel":   {"repro/internal/sim"},
 			"repro/internal/prec":       {"repro/internal/ids"},
@@ -343,6 +352,7 @@ func DefaultConfig() *Config {
 			"repro/internal/serial":     {"repro/internal/history", "repro/internal/ids"},
 			"repro/internal/sim":        {},
 			"repro/internal/stats":      {},
+			"repro/internal/transport":  {"repro/internal/ids", "repro/internal/rng"},
 			"repro/internal/wfg":        {"repro/internal/ids"},
 			"repro/internal/workload":   {"repro/internal/ids", "repro/internal/rng", "repro/internal/sim"},
 		},
@@ -358,6 +368,10 @@ func DefaultConfig() *Config {
 			"repro/internal/wfg":      {"time"},
 			"repro/internal/prec":     {"time"},
 			"repro/internal/fwdlist":  {"time"},
+			// The transport core runs under the live cluster and on
+			// modelled time alike, so it may know neither clock nor
+			// either driver, nor any protocol.
+			"repro/internal/transport": {"time", "repro/internal/sim", "repro/internal/netmodel", "repro/internal/live", "repro/internal/protocol"},
 		},
 		EventSums: map[string][]string{
 			// The live cluster's post-resequencer message vocabulary: what

@@ -108,9 +108,7 @@ type client struct {
 }
 
 func newClient(cl *cluster, id ids.Client, gen *workload.Generator) *client {
-	mbox := newMailbox(4096)
-	mbox.owner = id
-	mbox.arq = cl.net.arq
+	mbox := newMailbox(id, 4096)
 	return &client{
 		cl:       cl,
 		id:       id,

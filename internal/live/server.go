@@ -31,9 +31,7 @@ type server struct {
 }
 
 func newServer(cl *cluster) *server {
-	mbox := newMailbox(16 * cl.cfg.Clients)
-	mbox.owner = ids.Server
-	mbox.arq = cl.net.arq
+	mbox := newMailbox(ids.Server, 16*cl.cfg.Clients)
 	return &server{
 		cl:       cl,
 		mbox:     mbox,

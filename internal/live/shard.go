@@ -156,9 +156,7 @@ type shardSite struct {
 }
 
 func newShardSite(cl *cluster, idx int) *shardSite {
-	mbox := newMailbox(16 * cl.cfg.Clients)
-	mbox.owner = ids.ShardSite(idx)
-	mbox.arq = cl.net.arq
+	mbox := newMailbox(ids.ShardSite(idx), 16*cl.cfg.Clients)
 	ss := &shardSite{
 		cl:       cl,
 		idx:      idx,
@@ -512,9 +510,7 @@ func newCoordCore(cfg Config, epoch int) *protocol.Coordinator {
 }
 
 func newCoordSite(cl *cluster) *coordSite {
-	mbox := newMailbox(16 * cl.cfg.Clients)
-	mbox.owner = ids.Coordinator
-	mbox.arq = cl.net.arq
+	mbox := newMailbox(ids.Coordinator, 16*cl.cfg.Clients)
 	cs := &coordSite{
 		cl:     cl,
 		mbox:   mbox,

@@ -44,6 +44,10 @@ go test -race -short ./internal/live -run 'TestChaos|TestStallTimeout|TestZeroLa
 
 echo "== race detector: lossy links — ARQ retransmission + drop chaos =="
 go test -race ./internal/live -run 'TestARQ|TestChaosDrop|TestResequencer' -count=1
+# The same transport core on modelled time: the twin of the live
+# partition test at 5 000 seeds, and FuzzTransport's random interleavings.
+go test ./internal/transport -run TestPartitionTwin -twin.seeds 5000 -count=1
+go test ./internal/transport -run '^$' -fuzz FuzzTransport -fuzztime 10s
 
 echo "== race detector: sharded 2PC cluster — chaos matrix + bank invariant =="
 go test -race -short ./internal/live -run 'TestSharded' -count=1
